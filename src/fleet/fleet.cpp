@@ -67,14 +67,18 @@ constexpr std::uint64_t kDeadTenantTag = 0x4841525044454144ULL;
 /// One shard: a worker thread, its op queue, and the engines pinned to
 /// it. The mutex guards only the queue and the progress counters (stated
 /// per field below, enforced by Clang thread-safety analysis); engines
-/// and the obs context are touched exclusively by the shard thread while
-/// work is in flight, and by the control thread only between quiesce()
-/// and the next enqueue (the wait handshake under `mu` gives that read
-/// its happens-before edge — a contract the analysis cannot see, so
-/// those two fields are deliberately unannotated and documented instead).
+/// are touched exclusively by the shard thread, and the obs context by
+/// the shard thread while work is in flight and by the control thread
+/// only between quiesce() and the next enqueue (the wait handshake under
+/// `mu` gives that read its happens-before edge — a contract the analysis
+/// cannot see, so those fields are deliberately unannotated and
+/// documented instead).
 struct Fleet::Shard {
   struct Task {
-    enum class Kind { kBootstrap, kOp, kTeardown };
+    /// kFingerprint writes the state fingerprint of every engine the
+    /// shard owns into `digests` (the output travels through the shard,
+    /// not the task, so Task stays as small as the op hot path needs).
+    enum class Kind { kBootstrap, kOp, kTeardown, kFingerprint };
     Kind kind{Kind::kOp};
     TenantId tenant{0};
     std::unique_ptr<TenantSpec> spec;  ///< kBootstrap only
@@ -92,6 +96,11 @@ struct Fleet::Shard {
   /// Shard-thread state (see struct comment for the access contract).
   std::unordered_map<TenantId, std::unique_ptr<core::HarpEngine>> engines;
   obs::Context ctx;
+  /// kFingerprint output, indexed by TenantId - 1: the fleet's scratch
+  /// vector, sized by the control thread before it enqueues the task
+  /// (the enqueue under `mu` orders that write before the shard's). Each
+  /// shard writes only the slots of its own tenants.
+  std::vector<std::uint64_t>* digests{nullptr};
 
   Thread thread;
 
@@ -113,6 +122,7 @@ Fleet::Fleet(const Options& options)
   for (std::size_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
     Shard* s = shard.get();
+    s->digests = &digests_;
     s->thread = Thread(
         [s, quota = limits_.tenant_node_quota] { shard_main(*s, quota); });
     shards_.push_back(std::move(shard));
@@ -231,21 +241,24 @@ void Fleet::quiesce() {
 }
 
 std::uint64_t Fleet::fleet_fingerprint() {
+  // Each shard digests its own engines on its own thread, after every
+  // task already queued there (FIFO), into its tenants' slots. A live
+  // tenant without an engine — a failed bootstrap — keeps the dead tag.
+  digests_.assign(tenants_.size(), kDeadTenantTag);
+  for (auto& shard : shards_) {
+    Shard::Task task;
+    task.kind = Shard::Task::Kind::kFingerprint;
+    shard->enqueue(std::move(task));
+  }
+  fingerprint_tasks_ += shards_.size();
   quiesce();
-  // tenants_ is already sorted by id (it IS the id order), so one forward
-  // walk gives the canonical fold; placement decides only which shard map
-  // each lookup goes to.
+  // The directory is already sorted by id (it IS the id order), so one
+  // forward walk gives the canonical fold, whatever the placement.
   std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     if (!live_[i]) continue;
-    const TenantId id = static_cast<TenantId>(i + 1);
-    const Shard& shard = *shards_[tenants_[i].shard];
-    const auto it = shard.engines.find(id);
-    const std::uint64_t fp =
-        it == shard.engines.end() ? kDeadTenantTag
-                                  : it->second->state_fingerprint();
-    h = fnv1a_value(h, id);
-    h = fnv1a_value(h, fp);
+    h = fnv1a_u64(h, static_cast<TenantId>(i + 1));
+    h = fnv1a_u64(h, digests_[i]);
   }
   return h;
 }
@@ -279,6 +292,9 @@ FleetStats Fleet::stats() const {
     MutexLock lock(shard->mu);
     s.ops_executed += shard->executed;
   }
+  // fleet_fingerprint()'s tasks are retired before it returns; they are
+  // not ops.
+  s.ops_executed -= fingerprint_tasks_;
   return s;
 }
 
@@ -307,6 +323,11 @@ void Fleet::shard_main(Shard& shard, std::size_t tenant_node_quota) {
       case Shard::Task::Kind::kTeardown:
         shard.engines.erase(task.tenant);
         obs.teardowns->inc();
+        return;
+      case Shard::Task::Kind::kFingerprint:
+        for (const auto& [id, engine] : shard.engines) {
+          (*shard.digests)[id - 1] = engine->state_fingerprint();
+        }
         return;
       case Shard::Task::Kind::kOp:
         break;

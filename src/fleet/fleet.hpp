@@ -22,13 +22,16 @@
 //   - All public methods are control-plane calls: one caller thread at a
 //     time (they are not internally serialized against each other).
 //   - Each engine lives and dies on its shard's thread; no engine is ever
-//     touched by two threads (per-shard thread_local compose scratch and
-//     interface pools are therefore reused across all tenants of a
-//     shard — the amortization that makes 10k small engines cheap).
-//   - quiesce() blocks until every enqueued op has executed, and
-//     establishes the happens-before edge that makes reading engine state
-//     (fleet_fingerprint, merged_metrics, stats) safe from the control
-//     thread until the next create/submit/destroy.
+//     touched by two threads, the control thread included (per-shard
+//     thread_local compose scratch and interface pools are therefore
+//     reused across all tenants of a shard — the amortization that makes
+//     10k small engines cheap). fleet_fingerprint() is a shard task too:
+//     each shard digests its own engines into a fleet-owned vector, and
+//     the control thread folds only those integers.
+//   - quiesce() blocks until every enqueued task has executed, and
+//     establishes the happens-before edge that makes reading shard
+//     results (the fingerprint vector, merged_metrics, stats) safe from
+//     the control thread until the next create/submit/destroy.
 //   - Mechanically: each shard owns one harp::Mutex (rank kFleetShard)
 //     guarding only its queue and progress counters; the guarded fields
 //     carry thread-safety annotations checked by Clang
@@ -185,7 +188,9 @@ class Fleet {
   /// fold of (tenant id, engine state_fingerprint) sorted by tenant id,
   /// plus a fixed tag for bootstrap-failed tenants. Independent of shard
   /// count and placement policy by construction — the determinism oracle
-  /// of bench/perf_fleet_scale and tests/fleet_test. Quiesces first.
+  /// of bench/perf_fleet_scale and tests/fleet_test. Each shard computes
+  /// its engines' fingerprints on its own thread after its queued work;
+  /// returns once all shards are quiescent.
   std::uint64_t fleet_fingerprint();
 
   /// Every shard context's metrics merged into one registry (engine,
@@ -226,6 +231,16 @@ class Fleet {
   std::uint64_t ops_enqueued_{0};
   std::size_t nodes_admitted_{0};
   std::uint64_t spectrum_admitted_{0};
+
+  /// fleet_fingerprint() scratch, index = TenantId - 1: refilled with the
+  /// dead-tenant tag on every call, written by the shard threads (each
+  /// only its own tenants' slots), read after quiesce(). Reused across
+  /// calls so a fingerprint allocates nothing once the fleet stops
+  /// growing.
+  std::vector<std::uint64_t> digests_;
+  /// Fingerprint tasks enqueued so far; stats() excludes them from
+  /// `ops_executed`.
+  std::uint64_t fingerprint_tasks_{0};
 };
 
 }  // namespace harp::fleet

@@ -4,6 +4,7 @@
 
 #include "audit/audit.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "harp/adjustment.hpp"
 #include "harp/compose.hpp"
 #include "obs/obs.hpp"
@@ -354,32 +355,29 @@ std::uint64_t HarpEngine::state_fingerprint() const {
   // resource state. No floats, no pointers, no container-order ambiguity
   // (layers ascend, nodes ascend) — the digest is comparable across
   // machines, which is what lets the bench gate pin it in a baseline.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
+  // Walks the stored state in place (no per-node layer lists, no
+  // per-layer lookups); every value folds as 8 little-endian bytes.
+  std::uint64_t h = kFnvOffset;
+  const auto mix = [&h](std::uint64_t v) { h = fnv1a_u64(h, v); };
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
     const InterfaceSet& ifs = dir == Direction::kUp ? up_ : down_;
     for (NodeId v = 0; v < topo_.size(); ++v) {
-      for (int layer : ifs.layers(v)) {
-        const ResourceComponent c = ifs.component(v, layer);
-        mix(v);
-        mix(static_cast<std::uint64_t>(layer));
-        mix(static_cast<std::uint64_t>(c.slots));
-        mix(static_cast<std::uint64_t>(c.channels));
-        for (const packing::Placement& p : ifs.layout(v, layer)) {
-          mix(static_cast<std::uint64_t>(p.x));
-          mix(static_cast<std::uint64_t>(p.y));
-          mix(static_cast<std::uint64_t>(p.w));
-          mix(static_cast<std::uint64_t>(p.h));
-          mix(p.id);
+      if (const InterfaceSet::NodeInterface* node = ifs.peek(v)) {
+        for (const auto& [layer, entry] : *node) {
+          mix(v);
+          mix(static_cast<std::uint64_t>(layer));
+          mix(static_cast<std::uint64_t>(entry.comp.slots));
+          mix(static_cast<std::uint64_t>(entry.comp.channels));
+          for (const packing::Placement& p : entry.layout) {
+            mix(static_cast<std::uint64_t>(p.x));
+            mix(static_cast<std::uint64_t>(p.y));
+            mix(static_cast<std::uint64_t>(p.w));
+            mix(static_cast<std::uint64_t>(p.h));
+            mix(p.id);
+          }
         }
       }
-      for (int layer : parts_.layers(dir, v)) {
-        const Partition p = parts_.get(dir, v, layer);
+      for (const auto& [layer, p] : parts_.of(dir, v)) {
         mix(v);
         mix(static_cast<std::uint64_t>(layer));
         mix(static_cast<std::uint64_t>(p.comp.slots));

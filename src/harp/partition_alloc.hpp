@@ -51,6 +51,15 @@ class PartitionTable {
   /// Layers at which `node` holds a non-empty partition, ascending.
   std::vector<int> layers(Direction dir, NodeId node) const;
 
+  /// One node's partitions of one direction, layer -> P, ascending — a
+  /// borrowed read-only view for walks that must not allocate (the state
+  /// digests). Invalidated by any mutation of this table.
+  using PerNode = std::map<int, Partition>;
+  const PerNode& of(Direction dir, NodeId node) const {
+    HARP_ASSERT(node < num_nodes());
+    return side(dir)[node];
+  }
+
   /// All partitions of one direction, flattened as (node, layer, P).
   struct Row {
     NodeId node;
@@ -64,7 +73,6 @@ class PartitionTable {
       default;
 
  private:
-  using PerNode = std::map<int, Partition>;
   std::vector<PerNode> up_;
   std::vector<PerNode> down_;
   std::vector<PerNode>& side(Direction dir) {

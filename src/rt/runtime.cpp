@@ -8,37 +8,39 @@
 
 namespace harp::rt {
 
-namespace {
-
-std::uint64_t fold_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a_value(h, v);
-}
-
-}  // namespace
-
 std::uint64_t state_fingerprint(const core::PartitionTable& parts,
                                 const core::Schedule& sched) {
+  // Walks both tables in place: row counts come from the per-node sizes
+  // and total_cells(), so no flattened rows()/entries() copy is built.
   std::uint64_t h = kFnvOffset;
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
-    const auto rows = parts.rows(dir);
-    h = fold_u64(h, rows.size());
-    for (const core::PartitionTable::Row& r : rows) {
-      h = fold_u64(h, dir == Direction::kUp ? 0 : 1);
-      h = fold_u64(h, r.node);
-      h = fold_u64(h, static_cast<std::uint64_t>(r.layer));
-      h = fold_u64(h, static_cast<std::uint64_t>(r.part.comp.slots));
-      h = fold_u64(h, static_cast<std::uint64_t>(r.part.comp.channels));
-      h = fold_u64(h, r.part.slot);
-      h = fold_u64(h, r.part.channel);
+    std::size_t rows = 0;
+    for (NodeId node = 0; node < parts.num_nodes(); ++node) {
+      rows += parts.of(dir, node).size();
+    }
+    h = fnv1a_u64(h, rows);
+    for (NodeId node = 0; node < parts.num_nodes(); ++node) {
+      for (const auto& [layer, p] : parts.of(dir, node)) {
+        h = fnv1a_u64(h, dir == Direction::kUp ? 0 : 1);
+        h = fnv1a_u64(h, node);
+        h = fnv1a_u64(h, static_cast<std::uint64_t>(layer));
+        h = fnv1a_u64(h, static_cast<std::uint64_t>(p.comp.slots));
+        h = fnv1a_u64(h, static_cast<std::uint64_t>(p.comp.channels));
+        h = fnv1a_u64(h, p.slot);
+        h = fnv1a_u64(h, p.channel);
+      }
     }
   }
-  const auto entries = sched.entries();
-  h = fold_u64(h, entries.size());
-  for (const core::ScheduleEntry& e : entries) {
-    h = fold_u64(h, e.child);
-    h = fold_u64(h, e.dir == Direction::kUp ? 0 : 1);
-    h = fold_u64(h, e.cell.slot);
-    h = fold_u64(h, e.cell.channel);
+  h = fnv1a_u64(h, sched.total_cells());
+  for (NodeId child = 0; child < sched.num_nodes(); ++child) {
+    for (Direction dir : {Direction::kUp, Direction::kDown}) {
+      for (const Cell& cell : sched.cells(child, dir)) {
+        h = fnv1a_u64(h, child);
+        h = fnv1a_u64(h, dir == Direction::kUp ? 0 : 1);
+        h = fnv1a_u64(h, cell.slot);
+        h = fnv1a_u64(h, cell.channel);
+      }
+    }
   }
   return h;
 }

@@ -59,9 +59,14 @@ void WorkerPool::worker_loop(std::size_t slot) {
       while (!stop_ && generation_ == seen_generation) batch_ready_.wait(mu_);
       if (stop_) return;
       seen_generation = generation_;
+      // A worker that wakes only after run_blocked closed the batch skips
+      // it: the parameters may already be gone, and `next_` may already
+      // count a later batch's indices.
+      if (!open_) continue;
       // Copy the batch parameters out while the dispatch lock is held:
-      // run_blocked keeps them stable until every worker is idle again,
-      // but the claim loop itself must not touch guarded state.
+      // run_blocked keeps them stable until the batch closes, which waits
+      // for every worker that joined, but the claim loop itself must not
+      // touch guarded state.
       fn = fn_;
       count = count_;
       block = block_;
@@ -100,15 +105,22 @@ void WorkerPool::run_blocked(
     first_error_ = nullptr;
     abort_.store(false, std::memory_order_relaxed);
     next_.store(0, std::memory_order_relaxed);
+    open_ = true;
     ++generation_;
   }
   batch_ready_.notify_all();
 
+  // Close the batch once its indices are drained (or aborted) and every
+  // worker that joined has left. Joining and closing both happen under
+  // mu_, so each worker either joined before the close — and is waited
+  // for here — or sees the batch closed and skips it; none can read the
+  // parameters or claim from `next_` after this returns.
   MutexLock lock(mu_);
   while (busy_ != 0 || (!abort_.load(std::memory_order_relaxed) &&
                         next_.load(std::memory_order_relaxed) < count_)) {
     batch_done_.wait(mu_);
   }
+  open_ = false;
   fn_ = nullptr;
   if (first_error_) {
     std::exception_ptr err = first_error_;

@@ -18,7 +18,12 @@
 // per-index claim stays lock-free on `next_`/`abort_`. The batch
 // parameters are copied out under the lock when a worker joins a batch
 // and passed by value into the claim loop, so the hot path reads no
-// guarded state.
+// guarded state. A batch is open from dispatch until its indices are
+// drained and every worker that joined it has left; run_blocked then
+// closes it under the lock, and a worker that wakes later skips it. So
+// every worker either runs in a generation or skips it, and none can
+// outlive the batch parameters or claim a later batch's indices with an
+// earlier batch's function.
 #pragma once
 
 #include <atomic>
@@ -94,6 +99,7 @@ class WorkerPool {
   std::size_t count_ HARP_GUARDED_BY(mu_){0};
   std::size_t block_ HARP_GUARDED_BY(mu_){1};  // indices per fetch-add
   std::uint64_t generation_ HARP_GUARDED_BY(mu_){0};  // workers wake once
+  bool open_ HARP_GUARDED_BY(mu_){false};  // batch still accepts joiners
   std::size_t busy_ HARP_GUARDED_BY(mu_){0};  // workers inside the batch
   bool stop_ HARP_GUARDED_BY(mu_){false};
   std::exception_ptr first_error_

@@ -2,16 +2,57 @@
 // statistics accumulator, error types, core value types.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace harp {
 namespace {
+
+// fnv1a_u64 skips the absorption of zero high bytes (one multiply by P^k
+// instead); it must equal the byte-wise fold of all 8 bytes everywhere.
+TEST(Hash, FnvU64MatchesByteWiseFold) {
+  const auto check = [](std::uint64_t h, std::uint64_t v) {
+    ASSERT_EQ(fnv1a_u64(h, v), fnv1a(h, &v, 8))
+        << std::hex << "h=" << h << " v=" << v;
+  };
+  const std::uint64_t edge[] = {0,
+                                1,
+                                0xff,
+                                0x100,
+                                0xffff,
+                                0x10000,
+                                0x0100000000000001ULL,
+                                0x00ff0000ff000000ULL,
+                                0x8000000000000000ULL,
+                                UINT64_MAX};
+  for (const std::uint64_t v : edge) {
+    check(kFnvOffset, v);
+    check(0, v);
+    check(UINT64_MAX, v);
+  }
+  // Seeded values in every byte-length class 0..8, with interior zero
+  // bytes, folded into a running state.
+  Rng rng(12345);
+  std::uint64_t h = kFnvOffset;
+  for (int i = 0; i < 100000; ++i) {
+    const int bytes = i % 9;
+    std::uint64_t v = bytes == 0 ? 0 : rng() >> (64 - 8 * bytes);
+    if (bytes > 0) v |= std::uint64_t{1} << (8 * bytes - 1);  // exact class
+    if (i % 7 == 0) v &= ~(std::uint64_t{0xff} << (8 * (i % 8)));
+    if (fnv1a_u64(h, v) != fnv1a(h, &v, 8)) {
+      FAIL() << std::hex << "h=" << h << " v=" << v;
+    }
+    h = fnv1a_u64(h, v);
+  }
+  EXPECT_NE(h, kFnvOffset);
+}
 
 TEST(Rng, SameSeedSameSequence) {
   Rng a(42), b(42);

@@ -7,6 +7,7 @@
 // here pin the determinism half: outcomes must be invariant to shard
 // count, placement policy and worker interleaving (docs/FLEET.md).
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,59 @@ std::uint64_t run_canonical_fleet(std::size_t shards,
   return fleet.fleet_fingerprint();
 }
 
+/// Pinned fleet fingerprints, captured from the control-thread fold over
+/// the byte-wise engine digest. The shard-parallel fold must reproduce
+/// them for any shard count.
+constexpr std::uint64_t kCanonicalFleetFp = 0x898e38dd3ec053a3;
+constexpr std::uint64_t kEdgeFleetFp[] = {
+    0xf697fe3a6739434c, 0x73b73cebf6039fbc, 0xb5e01b5e1306cb93};
+
+/// Edge-case script: a bootstrap-failed tenant (dead tag), a tenant
+/// destroyed before the first fingerprint, another destroyed between two
+/// fingerprints, a tenant created after a fingerprint, and two
+/// back-to-back fingerprints (scratch reuse). Returns the fingerprints
+/// taken after each phase.
+std::vector<std::uint64_t> run_edge_fleet(std::size_t shards) {
+  Fleet::Options opts;
+  opts.num_shards = shards;
+  Fleet fleet(opts);
+  std::vector<TenantId> ids;
+  const auto create = [&](TenantSpec spec) {
+    const Admission a = fleet.create_tenant(std::move(spec));
+    EXPECT_TRUE(a.admitted);
+    ids.push_back(a.id);
+  };
+  create(feasible_spec(0));
+  create(doomed_spec(1));
+  create(feasible_spec(1));
+  create(feasible_spec(2));
+  create(feasible_spec(0));
+  std::vector<std::size_t> attached(8, 0);
+  const auto churn_round = [&](int round) {
+    for (std::size_t t = 0; t < ids.size(); ++t) {
+      for (const Op& op : churn_ops(t, round, attached[t])) {
+        fleet.submit(ids[t], op);
+      }
+    }
+  };
+
+  std::vector<std::uint64_t> fps;
+  churn_round(0);
+  EXPECT_TRUE(fleet.destroy_tenant(ids[3]));
+  fps.push_back(fleet.fleet_fingerprint());
+  EXPECT_EQ(fleet.fleet_fingerprint(), fps.back());  // called twice
+
+  churn_round(1);
+  EXPECT_TRUE(fleet.destroy_tenant(ids[0]));
+  create(feasible_spec(2));
+  churn_round(2);
+  fps.push_back(fleet.fleet_fingerprint());
+
+  EXPECT_TRUE(fleet.destroy_tenant(ids[1]));  // the dead tenant
+  fps.push_back(fleet.fleet_fingerprint());
+  return fps;
+}
+
 // ------------------------------------------------------------ admission
 
 TEST(FleetAdmission, MaxTenantsRejectsAndBurnsIds) {
@@ -279,6 +333,22 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossShardCounts) {
       run_canonical_fleet(4, PlacementPolicy::kLeastLoaded);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
+}
+
+TEST(FleetDeterminism, CanonicalFingerprintMatchesPinnedValue) {
+  const std::uint64_t fp = run_canonical_fleet(3, PlacementPolicy::kLeastLoaded);
+  EXPECT_EQ(fp, kCanonicalFleetFp) << std::hex << fp;
+}
+
+TEST(FleetDeterminism, DeadAndDestroyedTenantsPinnedForAnyShardCount) {
+  const std::vector<std::uint64_t> want(std::begin(kEdgeFleetFp),
+                                        std::end(kEdgeFleetFp));
+  constexpr std::size_t kShardCounts[] = {1, 2, 3, 8};
+  for (const std::size_t shards : kShardCounts) {
+    const std::vector<std::uint64_t> got = run_edge_fleet(shards);
+    EXPECT_EQ(got, want) << "shards " << shards << std::hex << ": " << got[0]
+                         << " " << got[1] << " " << got[2];
+  }
 }
 
 TEST(FleetDeterminism, FingerprintInvariantAcrossPlacementPolicies) {

@@ -3,9 +3,11 @@
 // contracts, per-trial observability isolation, statistical aggregation,
 // and the fleet's jobs-invariance (determinism) guarantee — the property
 // docs/RUNNER.md promises and CI's TSan job exercises.
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -137,6 +139,60 @@ TEST(WorkerPool, RethrowsFirstExceptionAndSurvives) {
   std::atomic<int> after{0};
   pool.run(8, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 8);
+}
+
+// Thousands of tiny back-to-back batches on more workers than hardware
+// threads, with spinner threads keeping every CPU busy so that woken
+// workers get preempted: most workers reach the dispatch lock only after
+// the batch they were woken for has finished. Each batch's function and
+// counters live only for that batch, so a late waker that ran a stale (or
+// null) function, or claimed the next batch's indices with it, would
+// crash or miss / double-run an index here.
+TEST(WorkerPool, BackToBackTinyBatchesWithLateWakers) {
+  constexpr int kBatches = 4000;
+  constexpr std::size_t kMaxCount = 16;
+  const std::size_t hw = WorkerPool::default_jobs();
+  const std::size_t jobs = 2 * hw + 3;
+
+  // Stopped and joined on every exit path, ASSERT failures included.
+  struct Spinners {
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    ~Spinners() {
+      stop.store(true);
+      for (std::thread& t : threads) t.join();
+    }
+  } spinners;
+  for (std::size_t i = 0; i < hw; ++i) {
+    spinners.threads.emplace_back([&stop = spinners.stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  // A little work per index and between batches, like a real caller.
+  const auto busy_work = [](int n) {
+    volatile std::uint64_t x = 0;
+    for (int k = 0; k < n; ++k) x = x + static_cast<std::uint64_t>(k);
+  };
+
+  WorkerPool pool(jobs);
+  for (int batch = 0; batch < kBatches; ++batch) {
+    const std::size_t count = 1 + static_cast<std::size_t>(batch) % kMaxCount;
+    std::array<std::atomic<int>, kMaxCount> hits{};
+    std::atomic<bool> bad_slot{false};
+    const std::function<void(std::size_t, std::size_t)> fn =
+        [&](std::size_t slot, std::size_t i) {
+          if (slot >= jobs) bad_slot.store(true);
+          hits[i].fetch_add(1);
+          busy_work(200);
+        };
+    pool.run_blocked(count, 1 + static_cast<std::size_t>(batch % 2), fn);
+    busy_work(1000);
+    ASSERT_FALSE(bad_slot.load()) << "batch " << batch;
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "batch " << batch << " index " << i;
+    }
+  }
 }
 
 TEST(WorkerPool, DefaultJobsIsAtLeastOne) {
