@@ -22,6 +22,7 @@
 #include <cstring>
 
 #include "bench/bench_util.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "harp/adjustment.hpp"
 #include "harp/compose.hpp"
@@ -30,7 +31,6 @@
 #include "net/traffic.hpp"
 #include "packing/maxrects.hpp"
 #include "packing/skyline.hpp"
-#include "runner/fleet.hpp"
 
 using namespace harp;
 
@@ -142,7 +142,7 @@ BENCHMARK(BM_EngineDynamicRequest);
 // ------------------------------------------------------------ gate mode
 
 std::uint64_t digest_u64(std::uint64_t h, std::uint64_t v) {
-  return runner::fnv1a(h, &v, sizeof v);
+  return harp::fnv1a(h, &v, sizeof v);
 }
 
 std::uint64_t digest_placements(
@@ -210,7 +210,7 @@ int run_gate(int argc, char** argv) {
       std::fprintf(stderr, "skyline_n%zu: SoA and reference diverged\n", n);
       return 1;
     }
-    std::uint64_t sum = digest_u64(runner::kFnvOffset,
+    std::uint64_t sum = digest_u64(harp::kFnvOffset,
                                    static_cast<std::uint64_t>(out.height));
     sum = digest_placements(sum, out.placements);
     const int iters = static_cast<int>(20000 / n) + 1;
@@ -228,7 +228,7 @@ int run_gate(int argc, char** argv) {
     packing::FixedBinPacker bin(199, 16);
     const auto packed = bin.try_pack(rects);
     std::uint64_t sum =
-        digest_u64(runner::kFnvOffset, packed.has_value() ? 1 : 0);
+        digest_u64(harp::kFnvOffset, packed.has_value() ? 1 : 0);
     if (packed) sum = digest_placements(sum, *packed);
     const int iters = static_cast<int>(4000 / n) + 1;
     const double ns = median_ns_per_op(kSamples, iters, [&] {
@@ -245,7 +245,7 @@ int run_gate(int argc, char** argv) {
     core::Composition comp;
     core::compose_components_into(children, 16, scratch, comp);
     std::uint64_t sum = digest_u64(
-        runner::kFnvOffset, static_cast<std::uint64_t>(comp.composite.slots));
+        harp::kFnvOffset, static_cast<std::uint64_t>(comp.composite.slots));
     sum = digest_u64(sum, static_cast<std::uint64_t>(comp.composite.channels));
     sum = digest_placements(sum, comp.layout);
     const double ns = median_ns_per_op(kSamples, 4000, [&] {
@@ -259,7 +259,7 @@ int run_gate(int argc, char** argv) {
     const AdjustmentCase c = adjustment_case();
     const core::AdjustOutcome out =
         core::adjust_partition_layout({40, 8}, c.layout, c.child, {12, 3});
-    std::uint64_t sum = digest_u64(runner::kFnvOffset, out.success ? 1 : 0);
+    std::uint64_t sum = digest_u64(harp::kFnvOffset, out.success ? 1 : 0);
     sum = digest_placements(sum, out.layout);
     const double ns = median_ns_per_op(kSamples, 2000, [&] {
       benchmark::DoNotOptimize(

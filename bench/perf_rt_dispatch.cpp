@@ -13,7 +13,7 @@
 //            parity tests depend on.
 //
 //   timers   timer ops/sec for a seeded schedule/cancel/fire churn on
-//            TimerQueue via the dispatcher (one op = one schedule_at,
+//            the TimerWheel via the dispatcher (one op = one schedule_at,
 //            cancel, or fired callback). Deadlines collide on purpose:
 //            the checksum pins the (deadline, schedule-order) firing
 //            rule and the clock value each callback observes.

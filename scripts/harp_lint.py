@@ -33,10 +33,12 @@ allowlist policy):
                   the code cannot drift apart in either direction.
 
   std-function    Bans std::function (and std::move_only_function) in
-                  src/rt/ and src/fleet/: the event and fleet data
-                  planes store tasks as fixed-size InlineFunction
-                  callables so steady-state dispatch never allocates
-                  (docs/RUNTIME.md "Timer wheel & task storage"). Fat
+                  src/rt/, src/fleet/ and src/sim/mgmt_plane.*: the
+                  event and fleet data planes and the management-plane
+                  delivery path (run on every departure) store tasks as
+                  fixed-size InlineFunction callables so steady-state
+                  dispatch never allocates (docs/RUNTIME.md "Timer
+                  wheel & task storage"). Fat
                   captures must go through rt::boxed_task, which is
                   counted by `harp.rt.task_allocs` and gated to zero on
                   the bench hot path. Cold setup code (a test-only hook
@@ -77,12 +79,7 @@ FILE_ALLOW = {
         "src/common/sync.cpp",
     ),
     "obs-schema": (),
-    "std-function": (
-        # The reference heap TimerQueue keeps std::function on purpose:
-        # it is the differential-test oracle for TimerWheel, never on
-        # the dispatcher hot path (rt/timer.hpp header comment).
-        "src/rt/timer.hpp",
-    ),
+    "std-function": (),
 }
 
 DETERMINISM_PATTERNS = (
@@ -190,7 +187,7 @@ def check_raw_primitive(rel, lines, allows, problems):
 
 
 def check_std_function(rel, lines, allows, problems):
-    if not rel.startswith(("src/rt/", "src/fleet/")):
+    if not rel.startswith(("src/rt/", "src/fleet/", "src/sim/mgmt_plane.")):
         return  # other subsystems may type-erase freely
     for lineno, line in enumerate(lines, 1):
         code = STRING_LITERAL.sub('""', line)
@@ -198,7 +195,7 @@ def check_std_function(rel, lines, allows, problems):
         if m and not allowed("std-function", rel, lineno, allows):
             problems.append(
                 f"{rel}:{lineno}: [std-function] {m.group(0)} is banned "
-                "on the rt/fleet hot paths — use harp::InlineFunction "
+                "on the rt/fleet/mgmt hot paths — use harp::InlineFunction "
                 "(common/inline_task.hpp) or rt::boxed_task for fat "
                 "cold-path captures (allowlist: scripts/harp_lint.py)")
 

@@ -34,4 +34,29 @@ core::Partition from_part_item(const PartItem& item) {
                          item.channel};
 }
 
+std::size_t MessageStats::total() const {
+  std::size_t n = 0;
+  for (const auto& [type, c] : count) n += c;
+  return n;
+}
+
+std::size_t MessageStats::total_bytes() const {
+  std::size_t n = 0;
+  for (const auto& [type, b] : bytes) n += b;
+  return n;
+}
+
+std::size_t MessageStats::harp_overhead() const {
+  std::size_t n = 0;
+  for (const auto& [type, c] : count) {
+    if (counts_as_harp_overhead(type)) n += c;
+  }
+  return n;
+}
+
+void MessageStats::clear() {
+  count.clear();
+  bytes.clear();
+}
+
 }  // namespace harp::proto

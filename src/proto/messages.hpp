@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <variant>
 #include <vector>
 
@@ -95,6 +96,19 @@ struct Message {
   NodeId dst{kNoNode};
   std::variant<IntfPayload, PartPayload, CellAssignPayload, RejectPayload>
       payload{IntfPayload{}};
+};
+
+/// Messages by type with their encoded sizes (rt::Channel counts what
+/// its senders hand it, through the real codec, so the bytes match what
+/// the radio would carry).
+struct MessageStats {
+  std::map<MsgType, std::size_t> count;
+  std::map<MsgType, std::size_t> bytes;
+  std::size_t total() const;
+  std::size_t total_bytes() const;
+  /// Messages Table II counts (POST/PUT intf/part only).
+  std::size_t harp_overhead() const;
+  void clear();
 };
 
 /// Converts between the resource model and wire items.

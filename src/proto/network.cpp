@@ -1,8 +1,6 @@
 #include "proto/network.hpp"
 
-#include "common/error.hpp"
 #include "harp/rm_scheduler.hpp"
-#include "proto/codec.hpp"
 
 namespace harp::proto {
 
@@ -29,173 +27,6 @@ std::vector<AgentConfig> make_agent_configs(const net::Topology& topo,
     configs.push_back(std::move(cfg));
   }
   return configs;
-}
-
-std::size_t MessageStats::total() const {
-  std::size_t n = 0;
-  for (const auto& [type, c] : count) n += c;
-  return n;
-}
-
-std::size_t MessageStats::total_bytes() const {
-  std::size_t n = 0;
-  for (const auto& [type, b] : bytes) n += b;
-  return n;
-}
-
-std::size_t MessageStats::harp_overhead() const {
-  std::size_t n = 0;
-  for (const auto& [type, c] : count) {
-    if (counts_as_harp_overhead(type)) n += c;
-  }
-  return n;
-}
-
-void MessageStats::clear() {
-  count.clear();
-  bytes.clear();
-}
-
-/// Transport that appends to the owning network's queue.
-class AgentNetwork::Loopback final : public Transport {
- public:
-  explicit Loopback(AgentNetwork& net) : net_(net) {}
-  void send(Message msg) override {
-    net_.lifetime_.count[msg.type] += 1;
-    net_.lifetime_.bytes[msg.type] += encoded_size(msg);
-    net_.window_.count[msg.type] += 1;
-    net_.window_.bytes[msg.type] += encoded_size(msg);
-    net_.queue_.push_back(std::move(msg));
-  }
-
- private:
-  AgentNetwork& net_;
-};
-
-AgentNetwork::AgentNetwork(const net::Topology& topo,
-                           const net::TrafficMatrix& traffic,
-                           const net::SlotframeConfig& frame,
-                           std::span<const net::Task> tasks, int own_slack)
-    : topo_(topo), frame_(frame), own_slack_(own_slack) {
-  for (AgentConfig& cfg :
-       make_agent_configs(topo, traffic, frame, tasks, own_slack)) {
-    agents_.push_back(std::make_unique<HarpAgent>(std::move(cfg)));
-  }
-}
-
-HarpAgent& AgentNetwork::agent(NodeId id) {
-  HARP_ASSERT(id < agents_.size());
-  return *agents_[id];
-}
-
-const HarpAgent& AgentNetwork::agent(NodeId id) const {
-  HARP_ASSERT(id < agents_.size());
-  return *agents_[id];
-}
-
-void AgentNetwork::pump() {
-  Loopback transport(*this);
-  while (!queue_.empty()) {
-    const Message msg = std::move(queue_.front());
-    queue_.pop_front();
-    agent(msg.dst).on_message(msg, transport);
-  }
-}
-
-void AgentNetwork::bootstrap() {
-  Loopback transport(*this);
-  // Deepest nodes first so reports flow bottom-up naturally; order does
-  // not affect the result, only the queue interleaving.
-  for (NodeId v : topo_.nodes_bottom_up()) agent(v).start(transport);
-  pump();
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    if (!topo_.is_leaf(v)) HARP_ASSERT(agent(v).ready());
-  }
-}
-
-MessageStats AgentNetwork::change_demand(NodeId child, Direction dir,
-                                         int cells) {
-  HARP_ASSERT(child != net::Topology::gateway() && child < topo_.size());
-  window_.clear();
-  Loopback transport(*this);
-  agent(topo_.parent(child)).change_demand(child, dir, cells, transport);
-  pump();
-  return window_;
-}
-
-AgentNetwork::JoinResult AgentNetwork::join_node(NodeId parent, int up_cells,
-                                                 int down_cells) {
-  HARP_ASSERT(parent < topo_.size());
-  topo_ = topo_.with_leaf(parent);
-  const NodeId node = static_cast<NodeId>(topo_.size() - 1);
-
-  AgentConfig cfg;
-  cfg.id = node;
-  cfg.parent = parent;
-  cfg.link_layer = topo_.link_layer(node);
-  cfg.frame = frame_;
-  cfg.own_slack = own_slack_;
-  agents_.push_back(std::make_unique<HarpAgent>(std::move(cfg)));
-
-  window_.clear();
-  Loopback transport(*this);
-  agent(node).start(transport);
-  agent(parent).add_child(
-      ChildLink{node, true, up_cells, down_cells, ~0u, ~0u}, transport);
-  pump();
-  return {node, window_};
-}
-
-MessageStats AgentNetwork::leave_node(NodeId leaf) {
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
-  window_.clear();
-  Loopback transport(*this);
-  agent(topo_.parent(leaf)).remove_child(leaf, transport);
-  pump();
-  return window_;
-}
-
-MessageStats AgentNetwork::roam_node(NodeId leaf, NodeId new_parent) {
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
-  const NodeId old_parent = topo_.parent(leaf);
-  const int up = agent(old_parent).child_demand(leaf, Direction::kUp);
-  const int down = agent(old_parent).child_demand(leaf, Direction::kDown);
-
-  window_.clear();
-  Loopback transport(*this);
-  agent(old_parent).remove_child(leaf, transport);
-  pump();
-  topo_ = topo_.with_parent(leaf, new_parent);  // validates against cycles
-  agent(leaf).rehome(new_parent, topo_.link_layer(leaf));
-  Loopback transport2(*this);
-  agent(new_parent).add_child(ChildLink{leaf, true, up, down, ~0u, ~0u},
-                              transport2);
-  pump();
-  return window_;
-}
-
-core::Schedule AgentNetwork::current_schedule() const {
-  core::Schedule schedule(topo_.size());
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    for (NodeId c : topo_.children(v)) {
-      for (Direction dir : {Direction::kUp, Direction::kDown}) {
-        schedule.set_cells(c, dir, agent(v).child_cells(c, dir));
-      }
-    }
-  }
-  return schedule;
-}
-
-core::PartitionTable AgentNetwork::current_partitions() const {
-  core::PartitionTable parts(topo_.size());
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    for (Direction dir : {Direction::kUp, Direction::kDown}) {
-      for (int layer : agent(v).partition_layers(dir)) {
-        parts.set(dir, v, layer, agent(v).partition(dir, layer));
-      }
-    }
-  }
-  return parts;
 }
 
 }  // namespace harp::proto

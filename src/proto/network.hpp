@@ -1,21 +1,15 @@
-// Agent wiring helpers: build per-node configs from a topology and run a
-// whole network of agents over an in-memory transport.
+// Agent wiring: per-node configurations for a whole topology.
 //
-// AgentNetwork is the "control plane in a box": it owns one HarpAgent per
-// node and a FIFO loopback transport, delivers messages until quiescence,
-// and keeps per-type message and byte counters (through the real codec,
-// so the counts match what the radio would carry). The simulator replaces
-// the loopback with its management plane to add slot-accurate latency; the
-// protocol logic is identical.
+// rt::ProtoRuntime (rt/runtime.hpp) is the one driver that runs a network
+// of agents: over an in-memory loopback in the protocol tests, over a
+// lossy channel with ARQ, or over the simulator's management plane
+// (sim/mgmt_plane.hpp) for slot-accurate timing. It builds its agents
+// from make_agent_configs().
 #pragma once
 
-#include <deque>
-#include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "harp/schedule.hpp"
 #include "net/task.hpp"
 #include "net/topology.hpp"
 #include "net/traffic.hpp"
@@ -30,63 +24,5 @@ std::vector<AgentConfig> make_agent_configs(const net::Topology& topo,
                                             const net::SlotframeConfig& frame,
                                             std::span<const net::Task> tasks,
                                             int own_slack = 0);
-
-struct MessageStats {
-  std::map<MsgType, std::size_t> count;
-  std::map<MsgType, std::size_t> bytes;
-  std::size_t total() const;
-  std::size_t total_bytes() const;
-  /// Messages Table II counts (POST/PUT intf/part only).
-  std::size_t harp_overhead() const;
-  void clear();
-};
-
-class AgentNetwork {
- public:
-  AgentNetwork(const net::Topology& topo, const net::TrafficMatrix& traffic,
-               const net::SlotframeConfig& frame,
-               std::span<const net::Task> tasks = {}, int own_slack = 0);
-
-  /// Runs the static phases to quiescence. Throws InfeasibleError when the
-  /// gateway cannot admit the demands.
-  void bootstrap();
-
-  /// Injects a demand change at the link's parent and runs the resulting
-  /// exchange to quiescence. Returns the messages exchanged (all types).
-  MessageStats change_demand(NodeId child, Direction dir, int cells);
-
-  /// Topology dynamics (leaf devices), each run to quiescence.
-  struct JoinResult {
-    NodeId node{kNoNode};
-    MessageStats stats;
-  };
-  JoinResult join_node(NodeId parent, int up_cells, int down_cells);
-  MessageStats leave_node(NodeId leaf);
-  MessageStats roam_node(NodeId leaf, NodeId new_parent);
-
-  HarpAgent& agent(NodeId id);
-  const HarpAgent& agent(NodeId id) const;
-
-  /// Assembles the global schedule from every parent's cell assignments.
-  core::Schedule current_schedule() const;
-
-  /// Assembles a PartitionTable view for validation against the oracle.
-  core::PartitionTable current_partitions() const;
-
-  const MessageStats& lifetime_stats() const { return lifetime_; }
-  const net::Topology& topology() const { return topo_; }
-
- private:
-  class Loopback;
-  void pump();
-
-  net::Topology topo_;
-  net::SlotframeConfig frame_;
-  int own_slack_{0};
-  std::vector<std::unique_ptr<HarpAgent>> agents_;
-  std::deque<Message> queue_;
-  MessageStats lifetime_;
-  MessageStats window_;
-};
 
 }  // namespace harp::proto

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
-#include "sim/mgmt_plane.hpp"
+#include "proto/codec.hpp"
 
 namespace harp::rt {
 
@@ -40,6 +40,15 @@ void Channel::attach(NodeId node, Sink sink) {
   sinks_[node] = std::move(sink);
 }
 
+void Channel::send(Packet p) {
+  channel_obs().sent->inc();
+  if (p.kind == Packet::Kind::kData) {
+    stats_.count[p.msg.type] += 1;
+    stats_.bytes[p.msg.type] += proto::encoded_size(p.msg);
+  }
+  transmit(std::move(p));
+}
+
 void Channel::deliver(const Packet& p) {
   HARP_ASSERT(p.dst < sinks_.size() && sinks_[p.dst]);
   channel_obs().delivered->inc();
@@ -54,8 +63,7 @@ void Channel::deliver_pooled(std::uint32_t idx) {
   pool_.release(idx);
 }
 
-void LoopbackChannel::send(Packet p) {
-  channel_obs().sent->inc();
+void LoopbackChannel::transmit(Packet p) {
   const std::uint32_t idx = pool_.acquire(std::move(p));
   d_.post([this, idx] { deliver_pooled(idx); });
 }
@@ -73,8 +81,7 @@ void LossyChannel::enqueue_delivery(const Packet& p) {
   }
 }
 
-void LossyChannel::send(Packet p) {
-  channel_obs().sent->inc();
+void LossyChannel::transmit(Packet p) {
   if (drop_filter_ && drop_filter_(p)) {
     ++dropped_;
     channel_obs().dropped->inc();
@@ -96,37 +103,6 @@ void LossyChannel::send(Packet p) {
     channel_obs().duplicated->inc();
     enqueue_delivery(p);
   }
-}
-
-void MgmtChannel::send(Packet p) {
-  // The mgmt plane is a raw (loss-free, in-order) transport; ARQ framing
-  // must stay off so the wire carries plain protocol messages.
-  HARP_ASSERT(p.kind == Packet::Kind::kData && p.seq == 0);
-  channel_obs().sent->inc();
-  plane_.send(std::move(p.msg));
-  arm();
-}
-
-void MgmtChannel::arm() {
-  const AbsoluteSlot next = plane_.next_departure_after(d_.now());
-  if (next == sim::MgmtPlane::kNoDeparture) return;
-  if (armed_) {
-    if (armed_deadline_ <= next) return;  // already firing at/before it
-    d_.cancel(timer_);
-  }
-  armed_ = true;
-  armed_deadline_ = next;
-  timer_ = d_.schedule_at(next, [this] { on_departure_slot(); });
-}
-
-void MgmtChannel::on_departure_slot() {
-  armed_ = false;
-  // Deliveries run synchronously in ascending node order, exactly like
-  // the lockstep on_slot() walk; follow-up sends re-arm through send().
-  plane_.deliver_on_slot(d_.now(), [this](const proto::Message& m) {
-    deliver(Packet{Packet::Kind::kData, m.src, m.dst, 0, m});
-  });
-  arm();
 }
 
 }  // namespace harp::rt

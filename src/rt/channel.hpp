@@ -8,8 +8,13 @@
 // Transport matrix (docs/RUNTIME.md):
 //   LoopbackChannel  in-order, loss-free   one dispatcher task per packet
 //   LossyChannel     seeded drop/dup/delay one task or timer per copy
-//   MgmtChannel      in-order, loss-free   departs on real TSCH mgmt
-//                                          cells of a sim::MgmtPlane
+//   sim::MgmtChannel in-order, loss-free   departs on real TSCH mgmt
+//                                          cells (sim/mgmt_plane.hpp)
+//
+// Every packet enters through the non-virtual Channel::send, which is
+// the one place the messages are counted: the `harp.rt.msgs_sent`
+// counter and the per-type proto::MessageStats window (data packets
+// only; acks are ARQ framing, not protocol messages).
 //
 // Determinism: LossyChannel draws every fate decision from its own
 // seeded Rng stream in send order, so one seed reproduces one exact
@@ -26,10 +31,6 @@
 #include "common/types.hpp"
 #include "proto/messages.hpp"
 #include "rt/dispatcher.hpp"
-
-namespace harp::sim {
-class MgmtPlane;
-}  // namespace harp::sim
 
 namespace harp::rt {
 
@@ -105,13 +106,22 @@ class Channel {
 
   /// Hands one packet to the transport. Never delivers synchronously —
   /// delivery happens on a later dispatcher event, like a real network.
-  virtual void send(Packet p) = 0;
+  void send(Packet p);
 
   /// True when the transport can drop or reorder packets, i.e. callers
   /// need the ARQ endpoint (docs/RUNTIME.md transport matrix).
   virtual bool lossy() const { return false; }
 
+  /// Protocol messages handed to send() since the last reset_stats(),
+  /// by type, with their encoded sizes (retransmissions count again;
+  /// acks do not count).
+  const proto::MessageStats& stats() const { return stats_; }
+  void reset_stats() { stats_.clear(); }
+
  protected:
+  /// The transport proper: takes one counted packet from send().
+  virtual void transmit(Packet p) = 0;
+
   /// Invokes the destination sink (counts harp.rt.msgs_delivered).
   /// Unattached destinations are a hard error: packets never vanish
   /// silently on a loss-free path.
@@ -123,16 +133,20 @@ class Channel {
 
   std::vector<Sink> sinks_;
   PacketPool pool_;
+
+ private:
+  proto::MessageStats stats_;
 };
 
 /// In-memory loopback: each send becomes one dispatcher task, so packets
-/// are delivered in exact send order — the event-driven twin of
-/// proto::Loopback, and the transport whose runs are asserted
-/// bit-identical to the lockstep path.
+/// are delivered in exact send order — the reference transport the
+/// protocol tests run the agents over.
 class LoopbackChannel : public Channel {
  public:
   explicit LoopbackChannel(Dispatcher& d) : d_(d) {}
-  void send(Packet p) override;
+
+ protected:
+  void transmit(Packet p) override;
 
  private:
   Dispatcher& d_;
@@ -155,7 +169,6 @@ class LossyChannel : public Channel {
   LossyChannel(Dispatcher& d, const Options& opt)
       : d_(d), opt_(opt), rng_(opt.seed) {}
 
-  void send(Packet p) override;
   bool lossy() const override { return true; }
 
   /// Test hook: packets this predicate claims are dropped before the
@@ -170,6 +183,9 @@ class LossyChannel : public Channel {
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t duplicated() const { return duplicated_; }
 
+ protected:
+  void transmit(Packet p) override;
+
  private:
   void enqueue_delivery(const Packet& p);
 
@@ -179,32 +195,6 @@ class LossyChannel : public Channel {
   std::function<bool(const Packet&)> drop_filter_;  // harp-lint: allow(std-function)
   std::uint64_t dropped_{0};
   std::uint64_t duplicated_{0};
-};
-
-/// Adapter that makes the TSCH simulator's management plane one
-/// transport among several: sends enqueue into the MgmtPlane, and a
-/// dispatcher timer fires at each upcoming departure slot (1 tick == 1
-/// absolute slot) to deliver exactly what the lockstep on_slot() walk
-/// would — same slots, same node order, so fingerprints match the
-/// lockstep simulator bit-for-bit.
-///
-/// Raw transport: the mgmt plane neither drops nor reorders, so run it
-/// with ARQ disabled (Packet framing must stay unsequenced).
-class MgmtChannel : public Channel {
- public:
-  MgmtChannel(Dispatcher& d, sim::MgmtPlane& plane) : d_(d), plane_(plane) {}
-  void send(Packet p) override;
-
- private:
-  /// (Re-)arms the departure timer for the earliest pending TX cell.
-  void arm();
-  void on_departure_slot();
-
-  Dispatcher& d_;
-  sim::MgmtPlane& plane_;
-  bool armed_{false};
-  Tick armed_deadline_{0};
-  TimerId timer_{0};
 };
 
 }  // namespace harp::rt

@@ -84,7 +84,10 @@ ReliableEndpoint& ProtoRuntime::endpoint(NodeId id) {
   return *endpoints_[id];
 }
 
-void ProtoRuntime::settle() { d_.run_until_idle(opt_.max_events); }
+proto::MessageStats ProtoRuntime::settle() {
+  d_.run_until_idle(opt_.max_events);
+  return ch_.stats();
+}
 
 bool ProtoRuntime::quiescent() {
   if (!d_.idle()) return false;
@@ -94,29 +97,35 @@ bool ProtoRuntime::quiescent() {
   return true;
 }
 
-void ProtoRuntime::bootstrap() {
-  // Deepest nodes first, exactly like AgentNetwork::bootstrap: each start
+proto::MessageStats ProtoRuntime::bootstrap() {
+  // Deepest nodes first so reports flow bottom-up naturally: each start
   // is one dispatcher task, so the send order (and with it the delivered
-  // order on in-order transports) matches the synchronous path.
+  // order on in-order transports) is the bottom-up node order.
+  ch_.reset_stats();
   for (NodeId v : topo_.nodes_bottom_up()) {
     d_.post([this, v] { agent(v).start(endpoint(v)); });
   }
-  settle();
+  proto::MessageStats stats = settle();
   for (NodeId v = 0; v < topo_.size(); ++v) {
     if (!topo_.is_leaf(v)) HARP_ASSERT(agent(v).ready());
   }
+  return stats;
 }
 
-void ProtoRuntime::change_demand(NodeId child, Direction dir, int cells) {
+proto::MessageStats ProtoRuntime::change_demand(NodeId child, Direction dir,
+                                                int cells) {
   HARP_ASSERT(child != net::Topology::gateway() && child < topo_.size());
   const NodeId parent = topo_.parent(child);
+  ch_.reset_stats();
   d_.post([this, parent, child, dir, cells] {
     agent(parent).change_demand(child, dir, cells, endpoint(parent));
   });
-  settle();
+  return settle();
 }
 
-NodeId ProtoRuntime::join_node(NodeId parent, int up_cells, int down_cells) {
+ProtoRuntime::JoinResult ProtoRuntime::join_node(NodeId parent, int up_cells,
+                                                 int down_cells,
+                                                 std::uint32_t rm_period) {
   HARP_ASSERT(parent < topo_.size());
   topo_ = topo_.with_leaf(parent);
   const NodeId node = static_cast<NodeId>(topo_.size() - 1);
@@ -129,31 +138,33 @@ NodeId ProtoRuntime::join_node(NodeId parent, int up_cells, int down_cells) {
   cfg.own_slack = own_slack_;
   add_agent(std::move(cfg));
 
+  ch_.reset_stats();
   d_.post([this, node] { agent(node).start(endpoint(node)); });
-  d_.post([this, parent, node, up_cells, down_cells] {
-    agent(parent).add_child(
-        proto::ChildLink{node, true, up_cells, down_cells, ~0u, ~0u},
-        endpoint(parent));
+  d_.post([this, parent, node, up_cells, down_cells, rm_period] {
+    agent(parent).add_child(proto::ChildLink{node, true, up_cells, down_cells,
+                                             rm_period, rm_period},
+                            endpoint(parent));
   });
-  settle();
-  return node;
+  return {node, settle()};
 }
 
-void ProtoRuntime::leave_node(NodeId leaf) {
+proto::MessageStats ProtoRuntime::leave_node(NodeId leaf) {
   HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
   const NodeId parent = topo_.parent(leaf);
+  ch_.reset_stats();
   d_.post([this, parent, leaf] {
     agent(parent).remove_child(leaf, endpoint(parent));
   });
-  settle();
+  return settle();
 }
 
-void ProtoRuntime::roam_node(NodeId leaf, NodeId new_parent) {
+proto::MessageStats ProtoRuntime::roam_node(NodeId leaf, NodeId new_parent) {
   HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
   const NodeId old_parent = topo_.parent(leaf);
   const int up = agent(old_parent).child_demand(leaf, Direction::kUp);
   const int down = agent(old_parent).child_demand(leaf, Direction::kDown);
 
+  ch_.reset_stats();
   d_.post([this, old_parent, leaf] {
     agent(old_parent).remove_child(leaf, endpoint(old_parent));
   });
@@ -165,7 +176,7 @@ void ProtoRuntime::roam_node(NodeId leaf, NodeId new_parent) {
         proto::ChildLink{leaf, true, up, down, ~0u, ~0u},
         endpoint(new_parent));
   });
-  settle();
+  return settle();
 }
 
 core::Schedule ProtoRuntime::current_schedule() const {

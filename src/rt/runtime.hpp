@@ -1,14 +1,14 @@
 // ProtoRuntime: a whole HARP network of agents running event-driven over
 // one dispatcher and one pluggable Channel (docs/RUNTIME.md).
 //
-// The event-driven twin of proto::AgentNetwork: same construction inputs,
-// same operations (bootstrap / change_demand / join / leave / roam), but
-// every message travels as dispatcher events through the chosen transport
-// — loopback, lossy loopback, or the TSCH management plane — with one
-// ReliableEndpoint per node supplying retransmission when the transport
-// can lose packets. On loss-free transports the delivered message order
-// is identical to AgentNetwork's FIFO pump, which is what makes
-// state_fingerprint() bit-identical across the two paths (test-asserted).
+// The one driver of proto::HarpAgent networks. Each operation (bootstrap /
+// change_demand / join / leave / roam) posts the triggering agent call as
+// a dispatcher task and settles the network to quiescence; every message
+// travels as dispatcher events through the chosen transport — loopback,
+// lossy loopback, or the TSCH management plane (sim::MgmtChannel, which
+// is how sim::HarpSimulation runs its agents) — with one ReliableEndpoint
+// per node supplying retransmission when the transport can lose packets.
+// Each operation returns the messages its exchange put on the channel.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,9 @@ namespace harp::rt {
 
 /// Order-insensitive digest of a network's converged control state: FNV
 /// over every partition row and schedule entry, in canonical (direction,
-/// node, layer) order. Computed the same way for ProtoRuntime,
-/// proto::AgentNetwork, and core::HarpEngine outputs, so "same final
-/// state" is one integer comparison in tests and benches.
+/// node, layer) order. Computed the same way for ProtoRuntime and
+/// core::HarpEngine outputs, so "same final state" is one integer
+/// comparison in tests and benches.
 std::uint64_t state_fingerprint(const core::PartitionTable& parts,
                                 const core::Schedule& sched);
 
@@ -57,15 +57,23 @@ class ProtoRuntime {
                Options opt = Options{});
 
   /// Runs the static phases to quiescence (event-driven bootstrap).
-  void bootstrap();
+  /// Throws InfeasibleError when the gateway cannot admit the demands.
+  proto::MessageStats bootstrap();
 
   /// Injects a demand change at the link's parent, then settles.
-  void change_demand(NodeId child, Direction dir, int cells);
+  proto::MessageStats change_demand(NodeId child, Direction dir, int cells);
 
-  /// Topology dynamics (leaf devices), each settled to quiescence.
-  NodeId join_node(NodeId parent, int up_cells, int down_cells);
-  void leave_node(NodeId leaf);
-  void roam_node(NodeId leaf, NodeId new_parent);
+  /// Topology dynamics (leaf devices), each settled to quiescence. A
+  /// joining leaf's links get the RM period `rm_period` (~0u: lowest
+  /// priority).
+  struct JoinResult {
+    NodeId node{kNoNode};
+    proto::MessageStats stats;
+  };
+  JoinResult join_node(NodeId parent, int up_cells, int down_cells,
+                       std::uint32_t rm_period = ~0u);
+  proto::MessageStats leave_node(NodeId leaf);
+  proto::MessageStats roam_node(NodeId leaf, NodeId new_parent);
 
   proto::HarpAgent& agent(NodeId id);
   const proto::HarpAgent& agent(NodeId id) const;
@@ -88,10 +96,10 @@ class ProtoRuntime {
   std::uint64_t total_give_ups() const;
 
  private:
-  /// Runs the dispatcher until the network is quiescent (the event-driven
-  /// analogue of AgentNetwork::pump): with ARQ, quiescence waits for the
-  /// retransmit machinery to drain too.
-  void settle();
+  /// Runs the dispatcher until the network is quiescent (with ARQ,
+  /// quiescence waits for the retransmit machinery to drain too) and
+  /// returns the messages sent since the operation reset the stats.
+  proto::MessageStats settle();
   void add_agent(proto::AgentConfig cfg);
 
   net::Topology topo_;

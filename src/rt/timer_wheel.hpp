@@ -30,7 +30,8 @@
 // cancelled, slot since recycled) can only miss, never alias — the same
 // observable guarantee the never-reused monotonic ids gave.
 //
-// Contract difference from the reference TimerQueue: deadlines below the
+// Contract difference from the reference heap (tests/timer_queue.hpp, the
+// oracle the wheel is differentially tested against): deadlines below the
 // wheel's current tick (the latest pop_due() time) are clamped to it.
 // The dispatcher already clamps deadlines to now() >= that tick, so the
 // two are indistinguishable through rt::Dispatcher.
@@ -42,9 +43,18 @@
 #include <vector>
 
 #include "common/inline_task.hpp"
-#include "rt/timer.hpp"
 
 namespace harp::rt {
+
+/// Virtual time, in dispatcher ticks. A tick has no fixed wall duration;
+/// the sim::MgmtChannel transport equates one tick with one TSCH slot.
+using Tick = std::uint64_t;
+
+/// Handle for cancelling a scheduled timer. Never aliases a later timer.
+using TimerId = std::uint64_t;
+
+/// "No deadline" sentinel returned by next_deadline() on an empty wheel.
+inline constexpr Tick kNeverTick = ~0ull;
 
 class TimerWheel {
  public:

@@ -6,71 +6,60 @@
 #include "common/error.hpp"
 #include "net/traffic.hpp"
 #include "obs/obs.hpp"
-#include "proto/network.hpp"
 
 namespace harp::sim {
 
-HarpSimulation::HarpSimulation(net::Topology topo,
+HarpSimulation::HarpSimulation(const net::Topology& topo,
                                std::vector<net::Task> tasks, Options options)
-    : topo_(std::move(topo)),
-      options_(options),
+    : options_(options),
       tasks_(std::move(tasks)),
-      mgmt_(topo_, options.frame),
-      data_(topo_, tasks_,
+      mgmt_(options.frame),
+      channel_(dispatcher_, mgmt_, [this](AbsoluteSlot t) { advance_to(t); }),
+      // The mgmt plane is loss-free and in order: raw packets, no ARQ.
+      runtime_(topo, net::derive_traffic(topo, tasks_, options.frame),
+               options.frame, dispatcher_, channel_, tasks_,
+               options.own_slack, rt::RuntimeOptions{.arq = {.enabled = false}}),
+      data_(runtime_.topology(), tasks_,
             SimConfig{options.frame, options.pdr, options.queue_capacity},
-            options.seed) {
-  const auto traffic = net::derive_traffic(topo_, tasks_, options_.frame);
-  for (proto::AgentConfig& cfg : proto::make_agent_configs(
-           topo_, traffic, options_.frame, tasks_, options_.own_slack)) {
-    agents_.push_back(std::make_unique<proto::HarpAgent>(std::move(cfg)));
-  }
-  agent_ptrs_.reserve(agents_.size());
-  for (auto& a : agents_) agent_ptrs_.push_back(a.get());
-}
+            options.seed) {}
 
 void HarpSimulation::refresh_schedule() {
   if (mgmt_.log().size() == installed_log_size_) return;
   installed_log_size_ = mgmt_.log().size();
+  data_.resize_for_topology();  // a join may have grown the topology
   data_.set_schedule(current_schedule());
 }
 
-core::Schedule HarpSimulation::current_schedule() const {
-  core::Schedule schedule(topo_.size());
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    for (NodeId c : topo_.children(v)) {
-      for (Direction dir : {Direction::kUp, Direction::kDown}) {
-        schedule.set_cells(c, dir, agents_[v]->child_cells(c, dir));
-      }
-    }
+void HarpSimulation::advance_to(AbsoluteSlot t) {
+  if (mgmt_.busy() && t >= deadline_) {
+    throw Error("management plane did not quiesce within the timeout");
   }
-  return schedule;
-}
-
-void HarpSimulation::step(bool run_data) {
-  mgmt_.on_slot(now_, agent_ptrs_);
-  if (run_data) {
+  if (t <= now_) return;
+  if (bootstrapped_) {
     refresh_schedule();
-    data_.run_slots(1);
+    data_.run_slots(t - now_);
   }
-  ++now_;
+  now_ = t;
 }
 
-void HarpSimulation::run_to_mgmt_idle(AbsoluteSlot timeout_slots,
-                                      bool run_data) {
-  const AbsoluteSlot deadline = now_ + timeout_slots;
-  while (mgmt_.busy()) {
-    if (now_ >= deadline) {
-      throw Error("management plane did not quiesce within the timeout");
-    }
-    step(run_data);
+template <typename Op>
+void HarpSimulation::settle(AbsoluteSlot timeout_frames, Op&& op) {
+  deadline_ = now_ + timeout_frames * options_.frame.length;
+  try {
+    op();
+  } catch (...) {
+    deadline_ = kNoDeadline;
+    throw;
   }
+  deadline_ = kNoDeadline;
   // Once the management plane quiesces, the union of every agent's cell
   // assignments must be a legal TSCH schedule (collision-free, half-duplex,
   // inside the slotframe). Sufficiency is audited with a zero-demand
   // traffic matrix: mid-transient demand bookkeeping lives in the agents,
   // not here.
   HARP_AUDIT("sim.mgmt_schedule",
-             audit::check_schedule(topo_, net::TrafficMatrix(topo_.size()),
+             audit::check_schedule(topology(),
+                                   net::TrafficMatrix(topology().size()),
                                    current_schedule(), options_.frame));
 }
 
@@ -78,12 +67,7 @@ AbsoluteSlot HarpSimulation::bootstrap(AbsoluteSlot timeout_frames) {
   HARP_OBS_SCOPE("harp.sim.bootstrap_ns");
   HARP_ASSERT(!bootstrapped_);
   const AbsoluteSlot start = now_;
-  for (NodeId v : topo_.nodes_bottom_up()) agents_[v]->start(mgmt_);
-  run_to_mgmt_idle(timeout_frames * options_.frame.length,
-                   /*run_data=*/false);
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    if (!topo_.is_leaf(v)) HARP_ASSERT(agents_[v]->ready());
-  }
+  settle(timeout_frames, [&] { runtime_.bootstrap(); });
   data_.set_schedule(current_schedule());
   installed_log_size_ = mgmt_.log().size();
   bootstrapped_ = true;
@@ -92,7 +76,12 @@ AbsoluteSlot HarpSimulation::bootstrap(AbsoluteSlot timeout_frames) {
 
 void HarpSimulation::run_slots(AbsoluteSlot slots) {
   HARP_ASSERT(bootstrapped_);
-  for (AbsoluteSlot i = 0; i < slots; ++i) step(/*run_data=*/true);
+  if (slots == 0) return;
+  const AbsoluteSlot target = now_ + slots;
+  // Any management departures before the target (left queued by a timed
+  // out operation) run the data plane up to themselves first.
+  dispatcher_.run_until(target - 1);
+  advance_to(target);
 }
 
 void HarpSimulation::run_frames(AbsoluteSlot frames) {
@@ -103,79 +92,48 @@ MgmtPlane::Summary HarpSimulation::change_link_demand(
     NodeId child, Direction dir, int cells, AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
   mgmt_.clear_log();
-  agents_[topo_.parent(child)]->change_demand(child, dir, cells, mgmt_);
-  run_to_mgmt_idle(timeout_frames * options_.frame.length, /*run_data=*/true);
-  return mgmt_.summarize(topo_);
+  settle(timeout_frames, [&] { runtime_.change_demand(child, dir, cells); });
+  return mgmt_.summarize(topology());
 }
 
 HarpSimulation::JoinResult HarpSimulation::join_node(
     NodeId parent, int up_cells, int down_cells,
     std::uint32_t echo_period_slots, AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
-  HARP_ASSERT(parent < topo_.size());
-  topo_ = topo_.with_leaf(parent);
-  const NodeId node = static_cast<NodeId>(topo_.size() - 1);
-  mgmt_.resize_for_topology();
-  data_.resize_for_topology();
-
-  proto::AgentConfig cfg;
-  cfg.id = node;
-  cfg.parent = parent;
-  cfg.link_layer = topo_.link_layer(node);
-  cfg.frame = options_.frame;
-  cfg.own_slack = options_.own_slack;
-  agents_.push_back(std::make_unique<proto::HarpAgent>(std::move(cfg)));
-  agent_ptrs_.push_back(agents_.back().get());
-
   const std::uint32_t rm_period =
       echo_period_slots > 0 ? echo_period_slots : ~0u;
   mgmt_.clear_log();
-  agents_[node]->start(mgmt_);
-  agents_[parent]->add_child(
-      proto::ChildLink{node, true, up_cells, down_cells, rm_period,
-                       rm_period},
-      mgmt_);
-  run_to_mgmt_idle(timeout_frames * options_.frame.length, /*run_data=*/true);
+  NodeId node = kNoNode;
+  settle(timeout_frames, [&] {
+    node = runtime_.join_node(parent, up_cells, down_cells, rm_period).node;
+  });
 
   if (echo_period_slots > 0) {
     net::Task task{node, node, echo_period_slots, 0, true};
     tasks_.push_back(task);
     data_.add_task(task);
   }
-  return {node, mgmt_.summarize(topo_)};
+  return {node, mgmt_.summarize(topology())};
 }
 
 MgmtPlane::Summary HarpSimulation::leave_node(NodeId leaf,
                                               AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
+  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topology().size());
   std::erase_if(tasks_,
                 [&](const net::Task& t) { return t.source == leaf; });
   data_.remove_tasks_from(leaf);
   mgmt_.clear_log();
-  agents_[topo_.parent(leaf)]->remove_child(leaf, mgmt_);
-  run_to_mgmt_idle(timeout_frames * options_.frame.length, /*run_data=*/true);
-  return mgmt_.summarize(topo_);
+  settle(timeout_frames, [&] { runtime_.leave_node(leaf); });
+  return mgmt_.summarize(topology());
 }
 
 MgmtPlane::Summary HarpSimulation::roam_node(NodeId leaf, NodeId new_parent,
                                              AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
-  const NodeId old_parent = topo_.parent(leaf);
-  const int up = agents_[old_parent]->child_demand(leaf, Direction::kUp);
-  const int down = agents_[old_parent]->child_demand(leaf, Direction::kDown);
-
   mgmt_.clear_log();
-  agents_[old_parent]->remove_child(leaf, mgmt_);
-  run_to_mgmt_idle(timeout_frames * options_.frame.length, /*run_data=*/true);
-
-  topo_ = topo_.with_parent(leaf, new_parent);  // validates against cycles
-  agents_[leaf]->rehome(new_parent, topo_.link_layer(leaf));
-  agents_[new_parent]->add_child(
-      proto::ChildLink{leaf, true, up, down, ~0u, ~0u}, mgmt_);
-  run_to_mgmt_idle(timeout_frames * options_.frame.length, /*run_data=*/true);
-  return mgmt_.summarize(topo_);
+  settle(timeout_frames, [&] { runtime_.roam_node(leaf, new_parent); });
+  return mgmt_.summarize(topology());
 }
 
 MgmtPlane::Summary HarpSimulation::change_task_rate(
@@ -188,25 +146,22 @@ MgmtPlane::Summary HarpSimulation::change_task_rate(
   data_.set_task_period(task, period_slots);
 
   // New per-link reservations along the task's path.
-  const auto traffic = net::derive_traffic(topo_, tasks_, options_.frame);
+  const net::Topology& topo = topology();
+  const auto traffic = net::derive_traffic(topo, tasks_, options_.frame);
   mgmt_.clear_log();
-  MgmtPlane::Summary total;
 
   // Deepest link first: grow the leaf edge before the links that must
   // also carry the forwarded load.
-  const std::vector<NodeId> path = topo_.path_to_gateway(it->source);
-  for (NodeId v : path) {
+  for (NodeId v : topo.path_to_gateway(it->source)) {
     if (v == net::Topology::gateway()) continue;
-    const NodeId parent = topo_.parent(v);
+    const NodeId parent = topo.parent(v);
     for (Direction dir : {Direction::kUp, Direction::kDown}) {
       const int want = traffic.demand(v, dir);
-      if (agents_[parent]->child_demand(v, dir) == want) continue;
-      agents_[parent]->change_demand(v, dir, want, mgmt_);
-      run_to_mgmt_idle(timeout_frames * options_.frame.length,
-                       /*run_data=*/true);
+      if (agent(parent).child_demand(v, dir) == want) continue;
+      settle(timeout_frames, [&] { runtime_.change_demand(v, dir, want); });
     }
   }
-  return mgmt_.summarize(topo_);
+  return mgmt_.summarize(topo);
 }
 
 }  // namespace harp::sim

@@ -1,17 +1,21 @@
 // HarpSimulation: the complete testbed-in-software.
 //
-// Combines one HarpAgent per node (the distributed control plane), the
-// management plane (protocol messages over management-sub-frame cells,
-// slot-accurate), and the TSCH data plane (packets over the scheduled
-// cells). This is the substrate for the paper's testbed experiments:
-// Fig. 9 (static latency), Fig. 10 (latency under rate changes) and
-// Table II (adjustment overhead with real message timing).
+// Combines one HarpAgent per node (the distributed control plane, run by
+// rt::ProtoRuntime), the management plane (protocol messages over
+// management-sub-frame cells, slot-accurate, through sim::MgmtChannel on
+// a dispatcher whose tick is one absolute slot), and the TSCH data plane
+// (packets over the scheduled cells, run up to each management departure
+// from the channel's slot hook). This is the substrate for the paper's
+// testbed experiments: Fig. 9 (static latency), Fig. 10 (latency under
+// rate changes) and Table II (adjustment overhead with real message
+// timing).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "proto/agent.hpp"
+#include "rt/dispatcher.hpp"
+#include "rt/runtime.hpp"
 #include "sim/data_plane.hpp"
 #include "sim/mgmt_plane.hpp"
 
@@ -30,7 +34,7 @@ class HarpSimulation {
   };
 
   /// Builds agents and the planes. Does not exchange messages yet.
-  HarpSimulation(net::Topology topo, std::vector<net::Task> tasks,
+  HarpSimulation(const net::Topology& topo, std::vector<net::Task> tasks,
                  Options options);
 
   /// Runs the distributed static phase over management cells: interface
@@ -42,6 +46,9 @@ class HarpSimulation {
 
   /// Advances network time: every slot first serves management cells
   /// (agents may reconfigure) then data cells under the current schedule.
+  /// Each operation below runs to management quiescence within its
+  /// timeout (roam_node: both halves together) or throws Error, leaving
+  /// the undelivered messages queued for later slots.
   void run_slots(AbsoluteSlot slots);
   void run_frames(AbsoluteSlot frames);
 
@@ -81,32 +88,43 @@ class HarpSimulation {
   MgmtPlane::Summary roam_node(NodeId leaf, NodeId new_parent,
                                AbsoluteSlot timeout_frames = 200);
 
-  const net::Topology& topology() const { return topo_; }
+  const net::Topology& topology() const { return runtime_.topology(); }
   const LatencyRecorder& metrics() const { return data_.metrics(); }
   DataPlane& data() { return data_; }
   MgmtPlane& mgmt() { return mgmt_; }
-  proto::HarpAgent& agent(NodeId id) { return *agents_[id]; }
+  proto::HarpAgent& agent(NodeId id) { return runtime_.agent(id); }
   AbsoluteSlot now() const { return now_; }
   double now_seconds() const {
     return static_cast<double>(now_) * options_.frame.slot_seconds;
   }
 
   /// Assembles the current global schedule from every parent agent.
-  core::Schedule current_schedule() const;
+  core::Schedule current_schedule() const {
+    return runtime_.current_schedule();
+  }
 
  private:
-  void step(bool run_data);
-  void run_to_mgmt_idle(AbsoluteSlot timeout_slots, bool run_data);
+  /// MgmtChannel slot hook: enforces the running operation's timeout,
+  /// then runs the data plane (once bootstrapped) up to slot `t`.
+  void advance_to(AbsoluteSlot t);
+  /// Runs `op` (one or more ProtoRuntime operations) to management
+  /// quiescence, throwing Error at the first departure past the timeout.
+  template <typename Op>
+  void settle(AbsoluteSlot timeout_frames, Op&& op);
   void refresh_schedule();
 
-  net::Topology topo_;
+  static constexpr AbsoluteSlot kNoDeadline = ~0ull;
+
   Options options_;
   std::vector<net::Task> tasks_;
-  std::vector<std::unique_ptr<proto::HarpAgent>> agents_;
-  std::vector<proto::HarpAgent*> agent_ptrs_;
   MgmtPlane mgmt_;
+  rt::Dispatcher dispatcher_;
+  MgmtChannel channel_;
+  rt::ProtoRuntime runtime_;
   DataPlane data_;
+  /// Slots simulated so far: the data plane has run every slot below it.
   AbsoluteSlot now_{0};
+  AbsoluteSlot deadline_{kNoDeadline};
   std::size_t installed_log_size_{0};
   bool bootstrapped_{false};
 };

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
+#include "proto/codec.hpp"
 
 namespace harp::sim {
 
@@ -31,8 +32,7 @@ MgmtObs mgmt_obs() {
 
 }  // namespace
 
-MgmtPlane::MgmtPlane(const net::Topology& topo, net::SlotframeConfig frame)
-    : topo_(topo), frame_(frame), queues_(topo.size()) {
+MgmtPlane::MgmtPlane(net::SlotframeConfig frame) : frame_(frame) {
   frame_.validate();
   if (frame_.mgmt_slots() == 0) {
     throw InvalidArgument("management sub-frame is empty");
@@ -43,28 +43,20 @@ SlotId MgmtPlane::tx_slot(NodeId node) const {
   return frame_.data_slots + (node % frame_.mgmt_slots());
 }
 
-void MgmtPlane::send(proto::Message msg) {
-  HARP_ASSERT(msg.src < queues_.size());
+void MgmtPlane::send(proto::Message msg, AbsoluteSlot now) {
+  HARP_ASSERT(msg.src != kNoNode);
+  if (msg.src >= queues_.size()) queues_.resize(msg.src + 1);
   mgmt_obs().sent->inc();
   HARP_OBS_EVENT({.type = obs::EventType::kMsgSend,
                   .aux = static_cast<std::uint8_t>(msg.type),
                   .a = msg.src,
                   .b = msg.dst,
-                  .slot = now_});
-  queues_[msg.src].push_back({std::move(msg), now_});
+                  .slot = now});
+  queues_[msg.src].push_back({std::move(msg), now});
   ++queued_;
 }
 
-void MgmtPlane::on_slot(AbsoluteSlot t,
-                        std::vector<proto::HarpAgent*>& agents) {
-  deliver_on_slot(t, [&](const proto::Message& msg) {
-    HARP_ASSERT(msg.dst < agents.size());
-    agents[msg.dst]->on_message(msg, *this);
-  });
-}
-
-void MgmtPlane::deliver_on_slot(AbsoluteSlot t, const DeliverFn& deliver) {
-  now_ = t;
+void MgmtPlane::deliver_on_slot(AbsoluteSlot t, DeliverFn deliver) {
   if (queued_ == 0) return;
   const SlotId slot = static_cast<SlotId>(t % frame_.length);
   if (slot < frame_.data_slots) return;
@@ -84,21 +76,22 @@ void MgmtPlane::deliver_on_slot(AbsoluteSlot t, const DeliverFn& deliver) {
                     .b = q.msg.dst,
                     .slot = t,
                     .value = bytes});
-    deliver(q.msg);
+    deliver(std::move(q.msg));
   }
+}
+
+AbsoluteSlot MgmtPlane::next_tx_after(NodeId node, AbsoluteSlot t) const {
+  // Smallest T >= t+1 with T mod length == tx_slot(node).
+  const AbsoluteSlot base = t + 1;
+  const SlotId want = tx_slot(node);
+  const SlotId at = static_cast<SlotId>(base % frame_.length);
+  return base + (want >= at ? want - at : frame_.length - at + want);
 }
 
 AbsoluteSlot MgmtPlane::next_departure_after(AbsoluteSlot t) const {
   AbsoluteSlot best = kNoDeparture;
   for (NodeId node = 0; node < queues_.size(); ++node) {
-    if (queues_[node].empty()) continue;
-    // Smallest T >= t+1 with T mod length == tx_slot(node).
-    const AbsoluteSlot base = t + 1;
-    const SlotId want = tx_slot(node);
-    const SlotId at = static_cast<SlotId>(base % frame_.length);
-    const AbsoluteSlot next =
-        base + (want >= at ? want - at : frame_.length - at + want);
-    best = std::min(best, next);
+    if (!queues_[node].empty()) best = std::min(best, next_tx_after(node, t));
   }
   return best;
 }
@@ -125,6 +118,60 @@ MgmtPlane::Summary MgmtPlane::summarize(const net::Topology& topo) const {
   s.elapsed_seconds = static_cast<double>(span) * frame_.slot_seconds;
   s.elapsed_slotframes = (span + frame_.length - 1) / frame_.length;
   return s;
+}
+
+void MgmtChannel::transmit(rt::Packet p) {
+  // The mgmt plane is a raw (loss-free, in-order) transport; ARQ framing
+  // must stay off so the wire carries plain protocol messages.
+  HARP_ASSERT(p.kind == rt::Packet::Kind::kData && p.seq == 0);
+  const NodeId src = p.src;
+  plane_.send(std::move(p.msg), d_.now());
+  // Only the source's queue changed, so only its next TX cell can beat
+  // the armed departure (mid-delivery, the rescan after it corrects).
+  arm_by(plane_.next_tx_after(src, d_.now()));
+}
+
+void MgmtChannel::arm_by(AbsoluteSlot next) {
+  if (next == MgmtPlane::kNoDeparture) return;
+  if (armed_) {
+    if (armed_deadline_ <= next) return;  // already firing at/before it
+    d_.cancel(timer_);
+  }
+  arm_at(next);
+}
+
+void MgmtChannel::arm_at(AbsoluteSlot slot) {
+  armed_ = true;
+  armed_deadline_ = slot;
+  timer_ = d_.schedule_at(slot, [this] { on_departure_slot(); });
+}
+
+void MgmtChannel::on_departure_slot() {
+  armed_ = false;
+  const AbsoluteSlot t = d_.now();
+  if (slot_hook_) {
+    try {
+      slot_hook_(t);
+    } catch (...) {
+      arm_at(t);  // nothing departed: a later run delivers this slot
+      throw;
+    }
+  }
+  // Deliveries run synchronously in ascending node order; follow-up
+  // sends re-arm through transmit().
+  plane_.deliver_on_slot(t, [this](proto::Message&& m) {
+    deliver(rt::Packet{rt::Packet::Kind::kData, m.src, m.dst, 0,
+                       std::move(m)});
+  });
+  // Exactly the next departure: a timer armed mid-delivery for a
+  // follow-up that then left in this same slot must not fire.
+  const AbsoluteSlot next = plane_.next_departure_after(t);
+  if (armed_ && armed_deadline_ != next) {
+    d_.cancel(timer_);
+    armed_ = false;
+  }
+  arm_by(next);
+  if (slot_hook_ && !plane_.busy()) slot_hook_(t + 1);
 }
 
 }  // namespace harp::sim

@@ -12,41 +12,35 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
+#include "common/inline_task.hpp"
 #include "net/slotframe.hpp"
 #include "net/topology.hpp"
-#include "proto/agent.hpp"
-#include "proto/codec.hpp"
+#include "proto/messages.hpp"
+#include "rt/channel.hpp"
+#include "rt/dispatcher.hpp"
 
 namespace harp::sim {
 
-class MgmtPlane : public proto::Transport {
+class MgmtPlane {
  public:
-  MgmtPlane(const net::Topology& topo, net::SlotframeConfig frame);
+  explicit MgmtPlane(net::SlotframeConfig frame);
 
-  /// Queues a message at its source node (Transport interface; called by
-  /// agents while they process deliveries).
-  void send(proto::Message msg) override;
-
-  /// Advances to slot `t`: if some node's TX cell falls on this slot, its
-  /// oldest queued message is delivered. `agents` receive messages and may
-  /// send follow-ups (which queue for later cells).
-  void on_slot(AbsoluteSlot t, std::vector<proto::HarpAgent*>& agents);
+  /// Queues a message at its source node, stamped as sent in slot `now`.
+  /// The per-node queues grow to cover any source (nodes that join later
+  /// need no resize).
+  void send(proto::Message msg, AbsoluteSlot now);
 
   /// Receiver callback for deliver_on_slot: one call per message whose TX
-  /// cell fires, in ascending source-node order. The callee may send()
-  /// follow-ups, which queue for later cells (never the firing one).
-  using DeliverFn = std::function<void(const proto::Message&)>;
+  /// cell fires, in ascending source-node order. The callee takes the
+  /// message and may send() follow-ups; a follow-up queued at a node later
+  /// in that order whose TX cell is the firing one departs in this slot.
+  using DeliverFn = InlineFunction<void(proto::Message&&)>;
 
-  /// The transport half of on_slot(): advances to slot `t` and hands each
-  /// departing message to `deliver` instead of dispatching to agents.
-  /// This is how rt::MgmtChannel drives the plane from dispatcher timers
-  /// while the lockstep on_slot() path keeps byte-identical behavior.
-  void deliver_on_slot(AbsoluteSlot t, const DeliverFn& deliver);
+  /// Hands each message departing in slot `t` to `deliver` and logs it.
+  void deliver_on_slot(AbsoluteSlot t, DeliverFn deliver);
 
   /// "Nothing queued" sentinel for next_departure_after().
   static constexpr AbsoluteSlot kNoDeparture = ~0ull;
@@ -56,14 +50,11 @@ class MgmtPlane : public proto::Transport {
   /// kNoDeparture while idle. Lets an event-driven driver skip straight
   /// to the next interesting slot instead of ticking every slot.
   AbsoluteSlot next_departure_after(AbsoluteSlot t) const;
+  /// The first slot strictly after `t` on which `node`'s TX cell fires.
+  AbsoluteSlot next_tx_after(NodeId node, AbsoluteSlot t) const;
 
   /// True while any management message is still queued.
   bool busy() const { return queued_ > 0; }
-
-  /// Topology dynamics: extends the per-node queues after nodes joined.
-  void resize_for_topology() {
-    if (topo_.size() > queues_.size()) queues_.resize(topo_.size());
-  }
 
   // ------------------------------------------------------- accounting
   struct Record {
@@ -99,12 +90,44 @@ class MgmtPlane : public proto::Transport {
     proto::Message msg;
     AbsoluteSlot sent;
   };
-  const net::Topology& topo_;
   net::SlotframeConfig frame_;
   std::vector<std::deque<Queued>> queues_;  // per source node
   std::size_t queued_{0};
   std::vector<Record> log_;
-  AbsoluteSlot now_{0};
+};
+
+/// The management plane as an rt transport: sends queue into a MgmtPlane
+/// stamped with the dispatcher clock, and a dispatcher timer fires at each
+/// upcoming departure slot (1 tick == 1 absolute slot) to deliver that
+/// slot's messages in ascending node order.
+///
+/// Raw transport: the mgmt plane neither drops nor reorders, so run it
+/// with ARQ disabled (Packet framing must stay unsequenced).
+class MgmtChannel final : public rt::Channel {
+ public:
+  /// Slot hook, called with slot `t` before the departures of slot `t`
+  /// are delivered, and with `last + 1` once the plane has drained after
+  /// its last departure at slot `last`. A slot-clocked driver runs its
+  /// other per-slot work up to `t` from here. If the hook throws, the
+  /// departures of `t` stay queued and their timer stays armed.
+  using SlotFn = InlineFunction<void(AbsoluteSlot)>;
+
+  MgmtChannel(rt::Dispatcher& d, MgmtPlane& plane, SlotFn slot_hook = {})
+      : d_(d), plane_(plane), slot_hook_(std::move(slot_hook)) {}
+
+ private:
+  void transmit(rt::Packet p) override;
+  /// Makes the departure timer fire no later than slot `next`.
+  void arm_by(AbsoluteSlot next);
+  void arm_at(AbsoluteSlot slot);
+  void on_departure_slot();
+
+  rt::Dispatcher& d_;
+  MgmtPlane& plane_;
+  SlotFn slot_hook_;
+  bool armed_{false};
+  rt::Tick armed_deadline_{0};
+  rt::TimerId timer_{0};
 };
 
 }  // namespace harp::sim

@@ -1,6 +1,7 @@
 // Tests for topology dynamics at the protocol level: agents negotiating
-// join/leave/roam via real messages (AgentNetwork), the engine oracle
-// cross-check, and the full simulation with management-plane timing.
+// join/leave/roam via real messages (rt::ProtoRuntime over a loopback),
+// the engine oracle cross-check, and the full simulation with
+// management-plane timing.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -8,7 +9,7 @@
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
-#include "proto/network.hpp"
+#include "loopback_agents.hpp"
 #include "rt/channel.hpp"
 #include "rt/dispatcher.hpp"
 #include "rt/runtime.hpp"
@@ -35,8 +36,8 @@ Net echo_net(net::Topology topo) {
   return {std::move(topo), std::move(traffic), std::move(tasks)};
 }
 
-/// Validates an AgentNetwork's distributed state via the core oracles.
-std::string validate_agents(const proto::AgentNetwork& network,
+/// Validates the agents' distributed state via the core oracles.
+std::string validate_agents(const rt::ProtoRuntime& network,
                             const net::TrafficMatrix& traffic) {
   const auto schedule = network.current_schedule();
   return core::validate_schedule(network.topology(), traffic, schedule,
@@ -47,7 +48,7 @@ std::string validate_agents(const proto::AgentNetwork& network,
 
 TEST(AgentDynamics, JoinNegotiatesReservation) {
   const Net n = echo_net(net::fig1_tree());
-  proto::AgentNetwork network(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
   network.bootstrap();
 
   const auto r = network.join_node(7, 2, 1);
@@ -66,7 +67,7 @@ TEST(AgentDynamics, JoinNegotiatesReservation) {
 
 TEST(AgentDynamics, JoinUnderFormerLeafCreatesNewLayer) {
   const Net n = echo_net(net::fig1_tree());
-  proto::AgentNetwork network(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
   network.bootstrap();
 
   // Node 9 is a layer-3 leaf; attaching under it creates layer 4.
@@ -81,7 +82,7 @@ TEST(AgentDynamics, JoinUnderFormerLeafCreatesNewLayer) {
 
 TEST(AgentDynamics, LeaveReleasesCellsLocally) {
   const Net n = echo_net(net::fig1_tree());
-  proto::AgentNetwork network(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
   network.bootstrap();
 
   const auto stats = network.leave_node(9);
@@ -91,7 +92,7 @@ TEST(AgentDynamics, LeaveReleasesCellsLocally) {
 
 TEST(AgentDynamics, RoamMovesReservation) {
   const Net n = echo_net(net::fig1_tree());
-  proto::AgentNetwork network(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
   network.bootstrap();
 
   network.roam_node(9, 1);
@@ -105,7 +106,7 @@ TEST(AgentDynamics, RoamMovesReservation) {
 
 TEST(AgentDynamics, RoamRejectsCycles) {
   const Net n = echo_net(net::fig1_tree());
-  proto::AgentNetwork network(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
   network.bootstrap();
   EXPECT_THROW(network.roam_node(9, 9), Error);
 }
@@ -115,7 +116,7 @@ TEST(AgentDynamics, MatchesEngineThroughMixedDynamics) {
   // on partitions and schedules through a join + roam + leave sequence
   // interleaved with demand changes.
   const Net n = echo_net(net::testbed_tree());
-  proto::AgentNetwork network(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
   network.bootstrap();
   core::HarpEngine engine(n.topo, n.traffic, frame(), n.tasks,
                           {.own_slack = 1});
@@ -167,7 +168,7 @@ TEST(AgentDynamics, FuzzedMixedDynamicsMatchEngine) {
   const auto tasks = net::uniform_echo_tasks(topo, f.length);
   const auto traffic = net::derive_traffic(topo, tasks, f);
 
-  proto::AgentNetwork network(topo, traffic, f, tasks, 1);
+  LoopbackAgents network(topo, traffic, f, tasks, 1);
   network.bootstrap();
   core::HarpEngine engine(topo, traffic, f, tasks, {.own_slack = 1});
 
@@ -297,17 +298,17 @@ TEST(SimDynamics, RoamKeepsServiceRunning) {
 TEST(RtDynamics, LossyTopologyDynamicsConvergeToTheLockstepState) {
   const Net n = echo_net(net::fig1_tree());
 
-  // Loss-free reference: the synchronous agents running the same mixed
+  // Loss-free reference: the in-order agents running the same mixed
   // join / demand-change / roam / leave sequence.
-  proto::AgentNetwork reference(n.topo, n.traffic, frame(), n.tasks, 1);
+  LoopbackAgents reference(n.topo, n.traffic, frame(), n.tasks, 1);
   reference.bootstrap();
   const auto joined = reference.join_node(7, 2, 1);
   reference.change_demand(joined.node, Direction::kUp, 3);
   reference.roam_node(joined.node, 2);
   const auto joined2 = reference.join_node(4, 1, 1);
   reference.leave_node(joined.node);
-  const std::uint64_t want = rt::state_fingerprint(
-      reference.current_partitions(), reference.current_schedule());
+  const std::uint64_t want = reference.fingerprint();
+  EXPECT_EQ(want, 0x8355e42c7ece8e77ULL);
 
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     rt::Dispatcher d(seed);
@@ -320,11 +321,11 @@ TEST(RtDynamics, LossyTopologyDynamicsConvergeToTheLockstepState) {
     rt::LossyChannel ch(d, lossy);
     rt::ProtoRuntime runtime(n.topo, n.traffic, frame(), d, ch, n.tasks, 1);
     runtime.bootstrap();
-    const NodeId node = runtime.join_node(7, 2, 1);
+    const NodeId node = runtime.join_node(7, 2, 1).node;
     ASSERT_EQ(node, joined.node);
     runtime.change_demand(node, Direction::kUp, 3);
     runtime.roam_node(node, 2);
-    ASSERT_EQ(runtime.join_node(4, 1, 1), joined2.node);
+    ASSERT_EQ(runtime.join_node(4, 1, 1).node, joined2.node);
     runtime.leave_node(node);
 
     EXPECT_EQ(runtime.fingerprint(), want) << "seed " << seed;

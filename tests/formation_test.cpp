@@ -9,7 +9,7 @@
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
-#include "proto/network.hpp"
+#include "loopback_agents.hpp"
 
 namespace harp {
 namespace {
@@ -74,8 +74,8 @@ TEST(Formation, AgentsGrowIncrementallyAndStayValid) {
 
   net::TopologyBuilder b;
   const auto seed_topo = b.build();
-  proto::AgentNetwork network(seed_topo, net::TrafficMatrix(1), frame(), {},
-                              /*own_slack=*/0);
+  LoopbackAgents network(seed_topo, net::TrafficMatrix(1), frame(), {},
+                         /*own_slack=*/0);
   network.bootstrap();  // trivial: gateway alone
 
   for (NodeId v : target.nodes_top_down()) {

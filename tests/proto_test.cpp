@@ -1,14 +1,15 @@
 // Tests for the HARP wire codec and the distributed agents, including the
-// key cross-validation: agents exchanging real messages converge to the
-// same partitions and schedule as the centralized engine oracle.
+// key cross-validation: agents exchanging real messages (rt::ProtoRuntime
+// over a loopback) converge to the same partitions and schedule as the
+// centralized engine oracle.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
+#include "loopback_agents.hpp"
 #include "proto/codec.hpp"
-#include "proto/network.hpp"
 #include "rt/channel.hpp"
 #include "rt/dispatcher.hpp"
 #include "rt/runtime.hpp"
@@ -192,7 +193,7 @@ Net echo_net(net::Topology topo, std::uint32_t period = 199) {
 
 TEST(Agents, BootstrapMatchesEngine) {
   const Net n = echo_net(net::testbed_tree());
-  AgentNetwork network(n.topo, n.traffic, frame(), n.tasks);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
   network.bootstrap();
   core::HarpEngine engine(n.topo, n.traffic, frame(), n.tasks);
 
@@ -215,9 +216,8 @@ TEST(Agents, BootstrapMatchesEngine) {
 
 TEST(Agents, BootstrapMessageCountsAreLean) {
   const Net n = echo_net(net::testbed_tree());
-  AgentNetwork network(n.topo, n.traffic, frame(), n.tasks);
-  network.bootstrap();
-  const auto& stats = network.lifetime_stats();
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
+  const auto stats = network.bootstrap();
   std::size_t non_leaf_non_gw = 0;
   for (NodeId v = 1; v < n.topo.size(); ++v) {
     if (!n.topo.is_leaf(v)) ++non_leaf_non_gw;
@@ -231,13 +231,13 @@ TEST(Agents, BootstrapMessageCountsAreLean) {
 
 TEST(Agents, BootstrapThrowsWhenInadmissible) {
   const Net n = echo_net(net::testbed_tree(), 10);  // absurd rate
-  AgentNetwork network(n.topo, n.traffic, frame(), n.tasks);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
   EXPECT_THROW(network.bootstrap(), InfeasibleError);
 }
 
 TEST(Agents, LocalDecreaseCostsNoHarpMessages) {
   const Net n = echo_net(net::testbed_tree());
-  AgentNetwork network(n.topo, n.traffic, frame(), n.tasks);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
   network.bootstrap();
   const auto stats = network.change_demand(1, Direction::kUp, 1);
   EXPECT_EQ(stats.harp_overhead(), 0u);
@@ -245,7 +245,7 @@ TEST(Agents, LocalDecreaseCostsNoHarpMessages) {
 
 TEST(Agents, DynamicAdjustmentMatchesEngine) {
   const Net n = echo_net(net::testbed_tree());
-  AgentNetwork network(n.topo, n.traffic, frame(), n.tasks);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
   network.bootstrap();
   core::HarpEngine engine(n.topo, n.traffic, frame(), n.tasks);
 
@@ -290,7 +290,7 @@ TEST(Agents, DynamicAdjustmentMatchesEngine) {
 
 TEST(Agents, RejectionRollsBackDistributedState) {
   const Net n = echo_net(net::testbed_tree());
-  AgentNetwork network(n.topo, n.traffic, frame(), n.tasks);
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
   network.bootstrap();
   const auto before_parts = network.current_partitions();
   const NodeId parent = n.topo.parent(49);
@@ -327,7 +327,7 @@ TEST(Agents, FuzzAgainstEngine) {
     const auto tasks = net::uniform_echo_tasks(topo, f.length);
     const auto traffic = net::derive_traffic(topo, tasks, f);
 
-    AgentNetwork network(topo, traffic, f, tasks);
+    LoopbackAgents network(topo, traffic, f, tasks);
     network.bootstrap();
     core::HarpEngine engine(topo, traffic, f, tasks);
 
@@ -366,18 +366,18 @@ TEST(Agents, LossySweepConvergesToEngineFingerprint) {
       {22, Direction::kDown, 5},
   };
 
-  // Loss-free references: the synchronous agents and the engine oracle.
-  AgentNetwork reference(n.topo, n.traffic, frame(), n.tasks);
+  // Loss-free references: the in-order agents and the engine oracle.
+  LoopbackAgents reference(n.topo, n.traffic, frame(), n.tasks);
   reference.bootstrap();
   core::HarpEngine engine(n.topo, n.traffic, frame(), n.tasks);
   for (const auto& s : steps) {
     reference.change_demand(s.child, s.dir, s.cells);
     ASSERT_TRUE(engine.request_demand(s.child, s.dir, s.cells).satisfied);
   }
-  const std::uint64_t want = rt::state_fingerprint(
-      reference.current_partitions(), reference.current_schedule());
+  const std::uint64_t want = reference.fingerprint();
   ASSERT_EQ(want,
             rt::state_fingerprint(engine.partitions(), engine.schedule()));
+  EXPECT_EQ(want, 0xc1be9a40a00923acULL);
 
   // Sweep drop rates x seeds: the rt runtime over the lossy loopback must
   // converge to the identical state every time, with the ARQ machinery

@@ -1,12 +1,14 @@
 // Tests for the event-driven protocol runtime (src/rt): dispatcher and
 // timer determinism, the transport matrix, ARQ recovery under loss, and
-// the keystone cross-validation — on loss-free transports the rt path's
-// state fingerprint is bit-identical to the synchronous/lockstep paths.
+// the keystone cross-validation — on loss-free transports the runtime's
+// state fingerprint equals the engine oracle and the literals pinned from
+// the former synchronous (FIFO pump) driver.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -15,13 +17,12 @@
 #include "harp/schedule.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
-#include "proto/network.hpp"
+#include "loopback_agents.hpp"
 #include "rt/channel.hpp"
 #include "rt/dispatcher.hpp"
 #include "rt/endpoint.hpp"
 #include "rt/runtime.hpp"
-#include "rt/timer.hpp"
-#include "sim/mgmt_plane.hpp"
+#include "timer_queue.hpp"
 
 namespace harp {
 namespace {
@@ -38,11 +39,6 @@ Net echo_net(net::Topology topo) {
   auto tasks = net::uniform_echo_tasks(topo, frame().length);
   auto traffic = net::derive_traffic(topo, tasks, frame());
   return {std::move(topo), std::move(traffic), std::move(tasks)};
-}
-
-std::uint64_t network_fingerprint(const proto::AgentNetwork& network) {
-  return rt::state_fingerprint(network.current_partitions(),
-                               network.current_schedule());
 }
 
 // --------------------------------------------------------------- timers
@@ -180,20 +176,23 @@ TEST(RtDispatcher, LivelockHitsTheEventCap) {
 #endif
 
 // ------------------------------------------- loss-free transport parity
+//
+// The literals below were recorded from the synchronous FIFO-pump driver
+// these scenarios used to be compared against.
 
 TEST(RtRuntime, LoopbackBootstrapFingerprintMatchesLockstepAndEngine) {
-  for (const auto& topo : {net::testbed_tree(), net::fig1_tree()}) {
+  const std::pair<net::Topology, std::uint64_t> cases[] = {
+      {net::testbed_tree(), 0xb9009b3542c27290ULL},
+      {net::fig1_tree(), 0xf3b790030c97fd41ULL}};
+  for (const auto& [topo, pinned] : cases) {
     const Net n = echo_net(topo);
-
-    proto::AgentNetwork lockstep(n.topo, n.traffic, frame(), n.tasks);
-    lockstep.bootstrap();
 
     rt::Dispatcher d;
     rt::LoopbackChannel ch(d);
     rt::ProtoRuntime runtime(n.topo, n.traffic, frame(), d, ch, n.tasks);
     runtime.bootstrap();
 
-    EXPECT_EQ(runtime.fingerprint(), network_fingerprint(lockstep));
+    EXPECT_EQ(runtime.fingerprint(), pinned);
     core::HarpEngine engine(n.topo, n.traffic, frame(), n.tasks);
     EXPECT_EQ(runtime.fingerprint(),
               rt::state_fingerprint(engine.partitions(), engine.schedule()));
@@ -202,8 +201,8 @@ TEST(RtRuntime, LoopbackBootstrapFingerprintMatchesLockstepAndEngine) {
 
 TEST(RtRuntime, ArqFramingDoesNotChangeLossFreeState) {
   const Net n = echo_net(net::testbed_tree());
-  proto::AgentNetwork lockstep(n.topo, n.traffic, frame(), n.tasks);
-  lockstep.bootstrap();
+  LoopbackAgents raw(n.topo, n.traffic, frame(), n.tasks);
+  raw.bootstrap();
 
   rt::Dispatcher d;
   rt::LoopbackChannel ch(d);
@@ -213,118 +212,33 @@ TEST(RtRuntime, ArqFramingDoesNotChangeLossFreeState) {
                            opt);
   runtime.bootstrap();
   runtime.change_demand(49, Direction::kUp, 3);
-  lockstep.change_demand(49, Direction::kUp, 3);
+  raw.change_demand(49, Direction::kUp, 3);
 
-  EXPECT_EQ(runtime.fingerprint(), network_fingerprint(lockstep));
+  EXPECT_EQ(runtime.fingerprint(), raw.fingerprint());
+  EXPECT_EQ(runtime.fingerprint(), 0x68df0c4bcdbf7c3fULL);
   EXPECT_EQ(runtime.total_retransmits(), 0u);
   EXPECT_TRUE(runtime.quiescent());
 }
 
 TEST(RtRuntime, DynamicsMatchLockstepAcrossOperations) {
   const Net n = echo_net(net::fig1_tree());
-  proto::AgentNetwork lockstep(n.topo, n.traffic, frame(), n.tasks, 1);
-  lockstep.bootstrap();
-
   rt::Dispatcher d;
   rt::LoopbackChannel ch(d);
   rt::ProtoRuntime runtime(n.topo, n.traffic, frame(), d, ch, n.tasks, 1);
   runtime.bootstrap();
 
-  const NodeId joined_rt = runtime.join_node(7, 2, 1);
-  const auto joined = lockstep.join_node(7, 2, 1);
-  ASSERT_EQ(joined_rt, joined.node);
-  EXPECT_EQ(runtime.fingerprint(), network_fingerprint(lockstep));
+  const NodeId joined = runtime.join_node(7, 2, 1).node;
+  ASSERT_EQ(joined, n.topo.size());
+  EXPECT_EQ(runtime.fingerprint(), 0x5a23296d001302d9ULL);
 
-  runtime.change_demand(joined_rt, Direction::kUp, 3);
-  lockstep.change_demand(joined.node, Direction::kUp, 3);
-  EXPECT_EQ(runtime.fingerprint(), network_fingerprint(lockstep));
+  runtime.change_demand(joined, Direction::kUp, 3);
+  EXPECT_EQ(runtime.fingerprint(), 0x5a23296d001302d9ULL);
 
-  runtime.roam_node(joined_rt, 2);
-  lockstep.roam_node(joined.node, 2);
-  EXPECT_EQ(runtime.fingerprint(), network_fingerprint(lockstep));
+  runtime.roam_node(joined, 2);
+  EXPECT_EQ(runtime.fingerprint(), 0x42da3c781d751e12ULL);
 
-  runtime.leave_node(joined_rt);
-  lockstep.leave_node(joined.node);
-  EXPECT_EQ(runtime.fingerprint(), network_fingerprint(lockstep));
-}
-
-// ------------------------------------------------- mgmt-plane transport
-
-TEST(RtRuntime, MgmtChannelReproducesTheLockstepSimulatorExactly) {
-  const Net n = echo_net(net::testbed_tree());
-
-  // Lockstep path: agents over a MgmtPlane driven slot by slot.
-  auto configs =
-      proto::make_agent_configs(n.topo, n.traffic, frame(), n.tasks);
-  std::vector<std::unique_ptr<proto::HarpAgent>> agents;
-  std::vector<proto::HarpAgent*> ptrs;
-  for (auto& cfg : configs) {
-    agents.push_back(std::make_unique<proto::HarpAgent>(std::move(cfg)));
-    ptrs.push_back(agents.back().get());
-  }
-  sim::MgmtPlane lockstep_plane(n.topo, frame());
-  for (NodeId v : n.topo.nodes_bottom_up()) {
-    agents[v]->start(lockstep_plane);
-  }
-  AbsoluteSlot t = 0;
-  while (lockstep_plane.busy()) lockstep_plane.on_slot(++t, ptrs);
-
-  // Event-driven path: the same plane wrapped as a Channel; the
-  // dispatcher's virtual clock ticks in absolute slots.
-  rt::Dispatcher d;
-  sim::MgmtPlane rt_plane(n.topo, frame());
-  rt::MgmtChannel ch(d, rt_plane);
-  rt::RuntimeOptions opt;
-  opt.arq.enabled = false;  // raw transport: the plane is loss-free
-  rt::ProtoRuntime runtime(n.topo, n.traffic, frame(), d, ch, n.tasks, 0,
-                           opt);
-  runtime.bootstrap();
-
-  // Identical delivery records: same messages, same slots, same order.
-  const auto& a = lockstep_plane.log();
-  const auto& b = rt_plane.log();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].type, b[i].type) << i;
-    EXPECT_EQ(a[i].from, b[i].from) << i;
-    EXPECT_EQ(a[i].to, b[i].to) << i;
-    EXPECT_EQ(a[i].sent, b[i].sent) << i;
-    EXPECT_EQ(a[i].delivered, b[i].delivered) << i;
-  }
-  EXPECT_EQ(d.now(), t);  // the virtual clock ends on the last TX slot
-
-  // And identical converged state.
-  core::PartitionTable parts(n.topo.size());
-  core::Schedule sched(n.topo.size());
-  for (NodeId v = 0; v < n.topo.size(); ++v) {
-    for (Direction dir : {Direction::kUp, Direction::kDown}) {
-      for (int layer : agents[v]->partition_layers(dir)) {
-        parts.set(dir, v, layer, agents[v]->partition(dir, layer));
-      }
-      for (NodeId c : n.topo.children(v)) {
-        sched.set_cells(c, dir, agents[v]->child_cells(c, dir));
-      }
-    }
-  }
-  EXPECT_EQ(runtime.fingerprint(), rt::state_fingerprint(parts, sched));
-}
-
-TEST(MgmtPlane, NextDepartureMatchesTxCellArithmetic) {
-  const Net n = echo_net(net::testbed_tree());
-  sim::MgmtPlane plane(n.topo, frame());
-  EXPECT_EQ(plane.next_departure_after(0), sim::MgmtPlane::kNoDeparture);
-
-  proto::Message msg;
-  msg.type = proto::MsgType::kPostIntf;
-  msg.src = 3;
-  msg.dst = 1;
-  plane.send(msg);
-  const AbsoluteSlot dep = plane.next_departure_after(0);
-  ASSERT_NE(dep, sim::MgmtPlane::kNoDeparture);
-  EXPECT_EQ(static_cast<SlotId>(dep % frame().length), plane.tx_slot(3));
-  // Strictly after `t`: asking from the departure slot itself must yield
-  // the next slotframe's cell.
-  EXPECT_EQ(plane.next_departure_after(dep), dep + frame().length);
+  runtime.leave_node(joined);
+  EXPECT_EQ(runtime.fingerprint(), 0x49d2c07500daae52ULL);
 }
 
 // ----------------------------------------------------- lossy + recovery
@@ -356,12 +270,13 @@ TEST(RtRuntime, DroppedPutPartStallsWithoutArqAndRecoversWithIt) {
   // Reference: the loss-free outcome of the same operation — a demand
   // change at node 5 that escalates once (one PUT-intf up to the
   // gateway, one PUT-part grant back down).
-  proto::AgentNetwork reference(n.topo, n.traffic, frame(), n.tasks);
+  LoopbackAgents reference(n.topo, n.traffic, frame(), n.tasks);
   reference.bootstrap();
   const auto stats = reference.change_demand(5, Direction::kUp, 9);
   ASSERT_EQ(stats.count.at(proto::MsgType::kPutIntf), 1u);
   ASSERT_EQ(stats.count.at(proto::MsgType::kPutPart), 1u);
-  const std::uint64_t want = network_fingerprint(reference);
+  const std::uint64_t want = reference.fingerprint();
+  EXPECT_EQ(want, 0x96d9d880666e2529ULL);
 
   auto run = [&](bool arq) {
     rt::Dispatcher d;

@@ -1,11 +1,15 @@
-// Tests for the TSCH data plane, management plane, and the combined
-// HarpSimulation facade (the software testbed).
+// Tests for the TSCH data plane, the management plane and its rt
+// transport (MgmtChannel), and the combined HarpSimulation facade (the
+// software testbed).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
+#include "rt/dispatcher.hpp"
+#include "rt/runtime.hpp"
 #include "sim/harp_sim.hpp"
 
 namespace harp::sim {
@@ -175,6 +179,19 @@ TEST(DataPlane, RejectsBadConfig) {
 
 // ------------------------------------------------------------- mgmt plane
 
+/// Folds every delivery record of the plane's log into an FNV digest.
+std::uint64_t fold_log(std::uint64_t h, const MgmtPlane& mgmt) {
+  for (const MgmtPlane::Record& r : mgmt.log()) {
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(r.type));
+    h = fnv1a_u64(h, r.from);
+    h = fnv1a_u64(h, r.to);
+    h = fnv1a_u64(h, r.sent);
+    h = fnv1a_u64(h, r.delivered);
+    h = fnv1a_u64(h, r.bytes);
+  }
+  return h;
+}
+
 TEST(MgmtPlane, DeliversOverOwnTxCell) {
   const auto topo = net::fig1_tree();
   const auto tasks = net::uniform_echo_tasks(topo, 199);
@@ -195,7 +212,7 @@ TEST(MgmtPlane, DeliversOverOwnTxCell) {
 
 TEST(MgmtPlane, TxSlotsAreInMgmtSubframe) {
   const auto topo = net::testbed_tree();
-  MgmtPlane mgmt(topo, frame());
+  MgmtPlane mgmt(frame());
   for (NodeId v = 0; v < topo.size(); ++v) {
     EXPECT_GE(mgmt.tx_slot(v), frame().data_slots);
     EXPECT_LT(mgmt.tx_slot(v), frame().length);
@@ -203,10 +220,82 @@ TEST(MgmtPlane, TxSlotsAreInMgmtSubframe) {
 }
 
 TEST(MgmtPlane, RejectsEmptyMgmtSubframe) {
-  const auto topo = net::fig1_tree();
   net::SlotframeConfig f = frame();
   f.data_slots = f.length;
-  EXPECT_THROW(MgmtPlane(topo, f), InvalidArgument);
+  EXPECT_THROW(MgmtPlane{f}, InvalidArgument);
+}
+
+TEST(MgmtPlane, NextDepartureMatchesTxCellArithmetic) {
+  MgmtPlane plane(frame());
+  EXPECT_EQ(plane.next_departure_after(0), MgmtPlane::kNoDeparture);
+
+  proto::Message msg;
+  msg.type = proto::MsgType::kPostIntf;
+  msg.src = 3;
+  msg.dst = 1;
+  plane.send(msg, 0);
+  const AbsoluteSlot dep = plane.next_departure_after(0);
+  ASSERT_NE(dep, MgmtPlane::kNoDeparture);
+  EXPECT_EQ(static_cast<SlotId>(dep % frame().length), plane.tx_slot(3));
+  // Strictly after `t`: asking from the departure slot itself must yield
+  // the next slotframe's cell.
+  EXPECT_EQ(plane.next_departure_after(dep), dep + frame().length);
+}
+
+TEST(MgmtChannel, FollowUpDepartingInTheSameSlotLeavesNoTimer) {
+  // Nodes 1 and 33 share a TX cell (32 management slots). Node 33 answers
+  // node 1's message at once; the answer departs in the same slot, which
+  // drains the plane. The slot hook must see that slot and the drain,
+  // and no timer may stay armed for node 33's next cell.
+  rt::Dispatcher d;
+  MgmtPlane plane(frame());
+  ASSERT_EQ(plane.tx_slot(1), plane.tx_slot(33));
+  std::vector<AbsoluteSlot> hooked;
+  MgmtChannel ch(d, plane, [&hooked](AbsoluteSlot t) { hooked.push_back(t); });
+  const auto packet = [](NodeId src, NodeId dst) {
+    rt::Packet p;
+    p.src = src;
+    p.dst = dst;
+    p.msg.src = src;
+    p.msg.dst = dst;
+    return p;
+  };
+  ch.attach(0, [](const rt::Packet&) {});
+  ch.attach(33, [&](const rt::Packet&) { ch.send(packet(33, 0)); });
+  ch.send(packet(1, 33));
+  d.run_until_idle();
+
+  const AbsoluteSlot slot = plane.tx_slot(1);
+  ASSERT_EQ(plane.log().size(), 2u);
+  EXPECT_EQ(plane.log()[1].delivered, slot);
+  EXPECT_EQ(hooked, (std::vector<AbsoluteSlot>{slot, slot + 1}));
+  EXPECT_EQ(d.now(), slot);
+  EXPECT_TRUE(d.idle());
+}
+
+TEST(RtRuntime, MgmtChannelReproducesTheLockstepSimulatorExactly) {
+  // ProtoRuntime over a bare MgmtChannel (no slot hook) on a dispatcher
+  // whose tick is one absolute slot. The literals were recorded from the
+  // former lockstep simulator, which stepped the plane slot by slot: its
+  // delivery log, the slot of its last departure, and its final state.
+  const auto topo = net::testbed_tree();
+  const auto tasks = net::uniform_echo_tasks(topo, frame().length);
+  const auto traffic = net::derive_traffic(topo, tasks, frame());
+  rt::Dispatcher d;
+  MgmtPlane plane(frame());
+  MgmtChannel ch(d, plane);
+  rt::ProtoRuntime runtime(topo, traffic, frame(), d, ch, tasks, 0,
+                           rt::RuntimeOptions{.arq = {.enabled = false}});
+  runtime.bootstrap();
+
+  EXPECT_FALSE(plane.busy());
+  EXPECT_EQ(plane.log().size(), 164u);
+  EXPECT_EQ(fold_log(kFnvOffset, plane), 0xd5def65986f1a45cULL);
+  EXPECT_EQ(d.now(), 3156u);  // the virtual clock ends on the last TX slot
+  core::HarpEngine engine(topo, traffic, frame(), tasks);
+  EXPECT_EQ(runtime.fingerprint(),
+            rt::state_fingerprint(engine.partitions(), engine.schedule()));
+  EXPECT_EQ(runtime.fingerprint(), 0xb9009b3542c27290ULL);
 }
 
 // ----------------------------------------------------------- harp_sim e2e
@@ -328,6 +417,174 @@ TEST(HarpSimulation, InadmissibleRateIncreaseIsRejectedConsistently) {
   }
   sim.run_frames(5);  // still ticking
 }
+
+// ------------------------------------------------ pinned protocol timing
+//
+// Literal pins of the management plane's exact behaviour: which messages
+// travel, when they are queued and when their TX cell fires, and what the
+// data plane delivers around them. Any change to how agents are driven
+// must leave every literal here untouched.
+
+net::SlotframeConfig testbed_frame() {
+  net::SlotframeConfig f;
+  f.data_slots = 190;  // the Table II setup
+  return f;
+}
+
+std::uint64_t fold_data(std::uint64_t h, DataPlane& data) {
+  const LatencyRecorder& m = data.metrics();
+  for (const Delivery& d : m.deliveries()) {
+    h = fnv1a_u64(h, d.task);
+    h = fnv1a_u64(h, d.source);
+    h = fnv1a_u64(h, d.created);
+    h = fnv1a_u64(h, d.delivered);
+    h = fnv1a_u64(h, d.met_deadline ? 1 : 0);
+  }
+  h = fnv1a_u64(h, m.total_generated());
+  h = fnv1a_u64(h, m.total_dropped());
+  h = fnv1a_u64(h, data.backlog());
+  return fnv1a_u64(h, data.now());
+}
+
+TEST(HarpSimulation, TableTwoEventTimingIsPinned) {
+  const auto topo = net::testbed_tree();
+  const net::SlotframeConfig f = testbed_frame();
+  HarpSimulation::Options opts{f};
+  opts.own_slack = 1;
+  opts.seed = 2;
+  HarpSimulation sim(topo, net::uniform_echo_tasks(topo, f.length), opts);
+  EXPECT_EQ(sim.bootstrap(), 2981u);
+  sim.run_frames(5);
+
+  const struct {
+    NodeId node;
+    Direction dir;
+    int delta;
+    std::size_t harp_messages;
+    std::size_t nodes;
+    int layers;
+    AbsoluteSlot slotframes;
+    AbsoluteSlot slots;
+  } events[] = {
+      {5, Direction::kUp, 3, 4, 5, 3, 4, 599},
+      {22, Direction::kUp, 2, 9, 10, 4, 5, 995},
+      {3, Direction::kUp, 6, 2, 4, 2, 3, 597},
+      {10, Direction::kDown, 2, 2, 3, 2, 2, 397},
+      {40, Direction::kUp, 2, 8, 6, 5, 5, 800},
+      {30, Direction::kUp, 2, 8, 6, 5, 5, 995},
+  };
+  for (const auto& e : events) {
+    const NodeId child = topo.children(e.node).front();
+    const int cur = sim.agent(e.node).child_demand(child, e.dir);
+    const auto s = sim.change_link_demand(child, e.dir, cur + e.delta);
+    EXPECT_EQ(s.harp_messages, e.harp_messages) << "node " << e.node;
+    EXPECT_EQ(s.nodes.size(), e.nodes) << "node " << e.node;
+    EXPECT_EQ(s.layers, e.layers) << "node " << e.node;
+    EXPECT_EQ(s.elapsed_slotframes, e.slotframes) << "node " << e.node;
+    EXPECT_EQ(s.last_delivered - s.first_sent + 1, e.slots)
+        << "node " << e.node;
+    sim.run_frames(3);
+  }
+  EXPECT_EQ(sim.now(), 11935u);
+}
+
+TEST(HarpSimulation, ScriptedLossySessionDigestIsPinned) {
+  // A testbed50-style session at PDR 0.95: bootstrap, Table II growth and
+  // its release, a task-rate change and its revert, join -> roam ->
+  // leave, and one request the gateway refuses. Every management record
+  // and every data-plane delivery is folded into one digest.
+  const auto topo = net::testbed_tree();
+  const net::SlotframeConfig f = testbed_frame();
+  HarpSimulation::Options opts{f};
+  opts.own_slack = 1;
+  opts.pdr = 0.95;
+  opts.seed = 5;
+  HarpSimulation sim(topo, net::uniform_echo_tasks(topo, f.length), opts);
+  std::uint64_t h = kFnvOffset;
+  h = fnv1a_u64(h, sim.bootstrap());
+  h = fold_log(h, sim.mgmt());
+  sim.run_frames(5);
+
+  const auto op = [&](const MgmtPlane::Summary& s) {
+    h = fold_log(h, sim.mgmt());
+    h = fnv1a_u64(h, s.harp_messages);
+    h = fnv1a_u64(h, sim.now());
+    sim.run_frames(1);
+  };
+  const struct {
+    NodeId node;
+    Direction dir;
+    int delta;
+  } events[] = {{5, Direction::kUp, 3},   {22, Direction::kUp, 2},
+                {3, Direction::kUp, 6},   {10, Direction::kDown, 2},
+                {40, Direction::kUp, 2},  {30, Direction::kUp, 2}};
+  std::vector<int> before;
+  for (const auto& e : events) {
+    const NodeId child = topo.children(e.node).front();
+    before.push_back(sim.agent(e.node).child_demand(child, e.dir));
+    op(sim.change_link_demand(child, e.dir, before.back() + e.delta));
+  }
+  for (std::size_t i = 0; i < std::size(events); ++i) {
+    const NodeId child = topo.children(events[i].node).front();
+    op(sim.change_link_demand(child, events[i].dir, before[i]));
+  }
+  op(sim.change_task_rate(17, f.length / 2));
+  op(sim.change_task_rate(17, f.length));
+  const auto joined = sim.join_node(15, 1, 1, f.length);
+  op(joined.summary);
+  op(sim.roam_node(joined.node, 16));
+  op(sim.leave_node(joined.node));
+  const NodeId parent = topo.parent(49);
+  const int cur = sim.agent(parent).child_demand(49, Direction::kUp);
+  op(sim.change_link_demand(49, Direction::kUp, 4000));
+  EXPECT_EQ(sim.agent(parent).child_demand(49, Direction::kUp), cur);
+  sim.run_frames(4);
+  h = fold_data(h, sim.data());
+
+  EXPECT_EQ(sim.now(), 24475u);
+  EXPECT_EQ(h, 0xe6a60ee2c671b6a3ULL);
+}
+
+#ifndef HARP_ASSERT_ABORT
+TEST(HarpSimulation, TimedOutOperationThrowsAndALaterOneFinishesIt) {
+  // A multi-layer climb cannot finish within one slotframe: the call
+  // throws, leaving messages queued. The next operation (here a no-op
+  // demand change) delivers them, and the network converges to the
+  // centralized oracle.
+  const auto topo = net::testbed_tree();
+  const auto tasks = net::uniform_echo_tasks(topo, 199);
+  HarpSimulation sim(topo, tasks, {frame(), 1.0, 7});
+  sim.bootstrap();
+  sim.run_frames(2);
+  EXPECT_THROW(sim.change_link_demand(49, Direction::kUp, 3,
+                                      /*timeout_frames=*/1),
+               Error);
+  EXPECT_TRUE(sim.mgmt().busy());
+
+  sim.change_link_demand(49, Direction::kUp, 3);  // no-op: same demand
+  EXPECT_FALSE(sim.mgmt().busy());
+  EXPECT_GT(sim.mgmt().log().size(), 0u);
+  for (NodeId v = 1; v < topo.size(); ++v) {
+    EXPECT_FALSE(sim.agent(v).adjustment_pending()) << v;
+  }
+
+  core::HarpEngine engine(topo, tasks, frame());
+  ASSERT_TRUE(engine.request_demand(49, Direction::kUp, 3).satisfied);
+  const auto sched = sim.current_schedule();
+  for (NodeId v = 1; v < topo.size(); ++v) {
+    for (Direction dir : {Direction::kUp, Direction::kDown}) {
+      EXPECT_EQ(sched.cells(v, dir), engine.schedule().cells(v, dir)) << v;
+    }
+  }
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    for (const auto& row : engine.partitions().rows(dir)) {
+      EXPECT_EQ(sim.agent(row.node).partition(dir, row.layer), row.part)
+          << "node " << row.node << " layer " << row.layer;
+    }
+  }
+  sim.run_frames(2);  // still ticking
+}
+#endif
 
 TEST(HarpSimulation, LossyNetworkStillDelivers) {
   const auto topo = net::testbed_tree();

@@ -17,8 +17,8 @@
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
 #include "rt/task.hpp"
-#include "rt/timer.hpp"
 #include "rt/timer_wheel.hpp"
+#include "timer_queue.hpp"
 
 namespace harp {
 namespace {
