@@ -1,280 +1,85 @@
-// harp_scenario: drive the full HARP simulation from a scenario script.
+// harp_scenario: run a `.scn` scenario script (docs/RUNNER.md "Scenario
+// scripts"; examples/scenarios/) on the full HARP simulation — agents over
+// the management plane plus the TSCH data plane — as a fleet of trials,
+// each seeded from --seed (default 1). Prints every result figure, as
+// mean +/- 95% CI when there are several trials.
 //
-// Reads a plain-text scenario (one command per line, `key=value`
-// arguments, `#` comments) and executes it on the software testbed —
-// distributed agents over the management plane plus the TSCH data plane.
-// This is the "kick the tires" tool: reviewers reproduce any situation
-// without writing C++.
-//
-//   net testbed | fig1 | random nodes=50 layers=5 seed=3
-//   frame length=199 data=190 channels=16
-//   options slack=1 pdr=0.98 seed=7
-//   tasks period=199                 # echo task on every device node
-//   bootstrap
-//   run frames=30
-//   demand node=15 dir=up cells=4
-//   rate task=15 period=66
-//   join parent=15 up=1 down=1 period=199
-//   leave node=49
-//   roam node=49 parent=16
-//   jam channel=3 frames=20 factor=0
-//   stats                            # latency/delivery/deadline report
-//
-// Usage: harp_scenario [scenario-file]   (no argument runs a demo script)
+// Usage: harp_scenario [--trials n] [--jobs m] [--seed s] <scenario-file>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "net/topology_gen.hpp"
-#include "net/traffic.hpp"
-#include "sim/harp_sim.hpp"
+#include "runner/fleet.hpp"
+#include "runner/scenario.hpp"
 
 using namespace harp;
 
-namespace {
-
-const char* kDemoScript = R"(# demo: testbed network, a surge, a roam, a jam
-net testbed
-frame length=199 data=190 channels=16
-options slack=1 pdr=0.99 seed=7
-tasks period=199
-bootstrap
-run frames=20
-stats
-demand node=15 dir=up cells=6
-run frames=20
-roam node=49 parent=16
-jam channel=2 frames=15 factor=0.2
-run frames=30
-stats
-)";
-
-struct Args {
-  std::map<std::string, std::string> kv;
-  std::string positional;
-
-  std::string str(const std::string& key, const std::string& fallback = "") const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
-  }
-  long num(const std::string& key, std::optional<long> fallback = {}) const {
-    const auto it = kv.find(key);
-    if (it == kv.end()) {
-      if (fallback) return *fallback;
-      throw InvalidArgument("missing argument '" + key + "'");
-    }
-    return std::stol(it->second);
-  }
-  double real(const std::string& key, double fallback) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::stod(it->second);
-  }
-};
-
-Args parse_args(std::istringstream& line) {
-  Args args;
-  std::string token;
-  while (line >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) {
-      args.positional = token;
-    } else {
-      args.kv[token.substr(0, eq)] = token.substr(eq + 1);
-    }
-  }
-  return args;
-}
-
-class ScenarioRunner {
- public:
-  int run(std::istream& in) {
-    std::string raw;
-    int line_no = 0;
-    while (std::getline(in, raw)) {
-      ++line_no;
-      const auto hash = raw.find('#');
-      if (hash != std::string::npos) raw.resize(hash);
-      std::istringstream line(raw);
-      std::string cmd;
-      if (!(line >> cmd)) continue;
-      try {
-        execute(cmd, parse_args(line));
-      } catch (const std::exception& e) {
-        std::printf("line %d: %s: ERROR: %s\n", line_no, cmd.c_str(),
-                    e.what());
-        return 1;
-      }
-    }
-    return 0;
-  }
-
- private:
-  void execute(const std::string& cmd, const Args& args) {
-    if (cmd == "net") {
-      if (args.positional == "testbed") {
-        topo_ = net::testbed_tree();
-      } else if (args.positional == "fig1") {
-        topo_ = net::fig1_tree();
-      } else if (args.positional == "random") {
-        Rng rng(static_cast<std::uint64_t>(args.num("seed", 1)));
-        topo_ = net::random_tree(
-            {.num_nodes = static_cast<std::size_t>(args.num("nodes", 50)),
-             .num_layers = static_cast<int>(args.num("layers", 5)),
-             .max_children = static_cast<std::size_t>(args.num("fanout", 0))},
-            rng);
-      } else {
-        throw InvalidArgument("net expects testbed|fig1|random");
-      }
-      std::printf("net: %zu nodes, %d layers\n", topo_->size(),
-                  topo_->depth());
-    } else if (cmd == "frame") {
-      frame_.length = static_cast<SlotId>(args.num("length", 199));
-      frame_.data_slots = static_cast<SlotId>(args.num("data", 167));
-      frame_.num_channels = static_cast<ChannelId>(args.num("channels", 16));
-      frame_.validate();
-    } else if (cmd == "options") {
-      options_slack_ = static_cast<int>(args.num("slack", 0));
-      options_pdr_ = args.real("pdr", 1.0);
-      options_seed_ = static_cast<std::uint64_t>(args.num("seed", 1));
-    } else if (cmd == "tasks") {
-      require_net();
-      tasks_ = net::uniform_echo_tasks(
-          *topo_, static_cast<std::uint32_t>(args.num("period", 199)));
-      const long deadline = args.num("deadline", 0);
-      for (auto& t : tasks_) {
-        t.deadline_slots = static_cast<std::uint32_t>(deadline);
-      }
-      std::printf("tasks: %zu echo tasks, period %ld slots\n", tasks_.size(),
-                  args.num("period", 199));
-    } else if (cmd == "bootstrap") {
-      require_net();
-      sim::HarpSimulation::Options options{frame_};
-      options.pdr = options_pdr_;
-      options.seed = options_seed_;
-      options.own_slack = options_slack_;
-      sim_ = std::make_unique<sim::HarpSimulation>(*topo_, tasks_, options);
-      const auto slots = sim_->bootstrap();
-      std::printf("bootstrap: %.2f s over the management plane (%zu "
-                  "messages)\n",
-                  static_cast<double>(slots) * frame_.slot_seconds,
-                  sim_->mgmt().log().size());
-    } else if (cmd == "run") {
-      require_sim();
-      sim_->run_frames(static_cast<AbsoluteSlot>(args.num("frames")));
-      std::printf("run: now t=%.1f s, backlog %zu\n", sim_->now_seconds(),
-                  sim_->data().backlog());
-    } else if (cmd == "demand") {
-      require_sim();
-      const auto node = static_cast<NodeId>(args.num("node"));
-      const Direction dir =
-          args.str("dir", "up") == "down" ? Direction::kDown : Direction::kUp;
-      const auto s = sim_->change_link_demand(
-          node, dir, static_cast<int>(args.num("cells")));
-      std::printf("demand: node %u %s -> %ld cells; %zu HARP msgs over "
-                  "%llu slotframes\n",
-                  node, to_string(dir), args.num("cells"), s.harp_messages,
-                  static_cast<unsigned long long>(s.elapsed_slotframes));
-    } else if (cmd == "rate") {
-      require_sim();
-      const auto s = sim_->change_task_rate(
-          static_cast<TaskId>(args.num("task")),
-          static_cast<std::uint32_t>(args.num("period")));
-      std::printf("rate: task %ld period -> %ld; %zu HARP msgs\n",
-                  args.num("task"), args.num("period"), s.harp_messages);
-    } else if (cmd == "join") {
-      require_sim();
-      const auto r = sim_->join_node(
-          static_cast<NodeId>(args.num("parent")),
-          static_cast<int>(args.num("up", 1)),
-          static_cast<int>(args.num("down", 1)),
-          static_cast<std::uint32_t>(args.num("period", 0)));
-      std::printf("join: node %u under %ld (%zu messages)\n", r.node,
-                  args.num("parent"), r.summary.all_messages);
-    } else if (cmd == "leave") {
-      require_sim();
-      sim_->leave_node(static_cast<NodeId>(args.num("node")));
-      std::printf("leave: node %ld departed\n", args.num("node"));
-    } else if (cmd == "roam") {
-      require_sim();
-      const auto node = static_cast<NodeId>(args.num("node"));
-      const auto s =
-          sim_->roam_node(node, static_cast<NodeId>(args.num("parent")));
-      std::printf("roam: node %u -> parent %ld; %zu HARP msgs\n", node,
-                  args.num("parent"), s.harp_messages);
-    } else if (cmd == "jam") {
-      require_sim();
-      const auto from = sim_->now();
-      sim_->data().add_interference(
-          static_cast<ChannelId>(args.num("channel")), from,
-          from + static_cast<AbsoluteSlot>(args.num("frames")) *
-                     frame_.length,
-          args.real("factor", 0.0));
-      std::printf("jam: channel %ld for %ld frames (success x%.2f)\n",
-                  args.num("channel"), args.num("frames"),
-                  args.real("factor", 0.0));
-    } else if (cmd == "stats") {
-      require_sim();
-      const auto& m = sim_->metrics();
-      Stats all;
-      for (NodeId v = 1; v < sim_->topology().size(); ++v) {
-        all.merge(m.node_latency(v));
-      }
-      std::printf("stats @ %.1f s: generated %llu, delivered %llu "
-                  "(%.1f%%), dropped %llu, deadline misses %llu\n",
-                  sim_->now_seconds(),
-                  static_cast<unsigned long long>(m.total_generated()),
-                  static_cast<unsigned long long>(m.total_delivered()),
-                  m.total_generated()
-                      ? 100.0 * static_cast<double>(m.total_delivered()) /
-                            static_cast<double>(m.total_generated())
-                      : 0.0,
-                  static_cast<unsigned long long>(m.total_dropped()),
-                  static_cast<unsigned long long>(
-                      m.total_deadline_misses()));
-      if (!all.empty()) {
-        std::printf("        latency mean %.2f s, p95 %.2f s, max %.2f s\n",
-                    all.mean(), all.percentile(95), all.max());
-      }
-    } else {
-      throw InvalidArgument("unknown command '" + cmd + "'");
-    }
-  }
-
-  void require_net() const {
-    if (!topo_) throw InvalidArgument("run 'net' first");
-  }
-  void require_sim() const {
-    if (!sim_) throw InvalidArgument("run 'bootstrap' first");
-  }
-
-  std::optional<net::Topology> topo_;
-  net::SlotframeConfig frame_;
-  std::vector<net::Task> tasks_;
-  int options_slack_ = 0;
-  double options_pdr_ = 1.0;
-  std::uint64_t options_seed_ = 1;
-  std::unique_ptr<sim::HarpSimulation> sim_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  ScenarioRunner runner;
-  if (argc > 1) {
-    std::ifstream file(argv[1]);
-    if (!file) {
-      std::printf("cannot open %s\n", argv[1]);
-      return 1;
+  std::size_t trials = 1;
+  runner::FleetOptions opts;
+  std::uint64_t seed = 1;
+  const char* path = nullptr;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--trials <n>] [--jobs <m>] [--seed <s>] "
+                 "<scenario-file>\n",
+                 argv[0]);
+    std::exit(2);  // NOLINT(concurrency-mt-unsafe) before any thread starts
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg[0] != '-') {
+      if (path != nullptr) usage();
+      path = argv[i];
+      continue;
     }
-    return runner.run(file);
+    if (++i >= argc || argv[i][0] < '0' || argv[i][0] > '9') usage();
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(argv[i], &end, 10);
+    if (*end != '\0') usage();
+    if (arg == "--trials" && value > 0) {
+      trials = value;
+    } else if (arg == "--jobs") {
+      opts.jobs = value;
+    } else if (arg == "--seed") {
+      seed = value;
+    } else {
+      usage();
+    }
   }
-  std::printf("(no scenario file given; running the built-in demo)\n\n");
-  std::istringstream demo{std::string(kDemoScript)};
-  return runner.run(demo);
+  if (path == nullptr) usage();
+  // Never start more workers than there are trials.
+  if (opts.jobs > trials) opts.jobs = trials;
+
+  try {
+    std::ifstream file(path);
+    if (!file) throw Error("cannot open the file");
+    const runner::ScenarioSpec spec = runner::parse_scenario(file);
+    const runner::FleetResult fleet = runner::run_fleet(
+        runner::TrialPlan::replications(seed, trials), opts,
+        [&spec](const runner::TrialSpec& t) {
+          return runner::run_scenario(spec, t.seed);
+        });
+    // Every numeric result field: its value, or with several trials its
+    // mean +/- 95% CI half-width.
+    std::printf("scenario %s: seed %llu, %zu trial(s)%s\n",
+                std::filesystem::path(path).stem().c_str(),
+                static_cast<unsigned long long>(seed), trials,
+                trials > 1 ? ", mean +/- ci95" : "");
+    for (const obs::Json::Member& m : *fleet.aggregate.as_object()) {
+      std::printf("  %-28s %10g", m.first.c_str(),
+                  m.second.find("mean")->number());
+      if (trials > 1) std::printf(" +/- %g", m.second.find("ci95")->number());
+      std::printf("\n");
+    }
+    std::printf("fingerprint %016llx\n",
+                static_cast<unsigned long long>(fleet.fingerprint));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", path, e.what());
+    return 1;
+  }
+  return 0;
 }

@@ -7,7 +7,7 @@
 namespace harp {
 
 /// Collects scalar samples and reports summary statistics. Percentiles are
-/// computed on demand with the nearest-rank method.
+/// computed on demand by linear interpolation between closest ranks.
 class Stats {
  public:
   void add(double sample);
@@ -22,7 +22,9 @@ class Stats {
   double max() const;
   /// Population standard deviation; 0 for fewer than two samples.
   double stddev() const;
-  /// Nearest-rank percentile, p in [0, 100]. Requires at least one sample.
+  /// Percentile, p in [0, 100]: linear interpolation at rank
+  /// p/100 * (n - 1) of the sorted samples (p90 of 1..100 is 90.1).
+  /// Requires at least one sample.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
 

@@ -29,15 +29,6 @@ void Schedule::clear_link(NodeId child, Direction dir) {
   table(dir)[child].clear();
 }
 
-std::vector<ScheduleEntry> Schedule::entries() const {
-  std::vector<ScheduleEntry> out;
-  for (NodeId child = 0; child < num_nodes(); ++child) {
-    for (Cell c : up_[child]) out.push_back({child, Direction::kUp, c});
-    for (Cell c : down_[child]) out.push_back({child, Direction::kDown, c});
-  }
-  return out;
-}
-
 std::size_t Schedule::total_cells() const {
   std::size_t total = 0;
   for (const auto& v : up_) total += v.size();

@@ -22,13 +22,6 @@
 
 namespace harp::core {
 
-/// One scheduled transmission opportunity.
-struct ScheduleEntry {
-  NodeId child{kNoNode};  // link identity: the child endpoint...
-  Direction dir{Direction::kUp};  // ...and whether child sends (up) or receives
-  Cell cell;
-};
-
 /// Cell assignment for every link in a topology.
 class Schedule {
  public:
@@ -51,9 +44,6 @@ class Schedule {
   void set_cells(NodeId child, Direction dir, std::vector<Cell> cells);
   void add_cell(NodeId child, Direction dir, Cell cell);
   void clear_link(NodeId child, Direction dir);
-
-  /// Every entry, flattened; useful for validation and simulation setup.
-  std::vector<ScheduleEntry> entries() const;
 
   /// Total number of assigned cells.
   std::size_t total_cells() const;

@@ -176,10 +176,15 @@ std::string MultiTreeHarp::validate() const {
       return std::string(to_string(t)) + ": " + err;
     }
     const auto [begin, end] = region(t);
-    for (const auto& e : global_schedule(t).entries()) {
-      if (e.cell.slot < begin || e.cell.slot >= end) {
-        return std::string(to_string(t)) + " cell " + to_string(e.cell) +
-               " escapes region";
+    const core::Schedule schedule = global_schedule(t);
+    for (NodeId child = 0; child < schedule.num_nodes(); ++child) {
+      for (const Direction dir : {Direction::kUp, Direction::kDown}) {
+        for (const Cell c : schedule.cells(child, dir)) {
+          if (c.slot < begin || c.slot >= end) {
+            return std::string(to_string(t)) + " cell " + to_string(c) +
+                   " escapes region";
+          }
+        }
       }
     }
   }

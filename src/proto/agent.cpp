@@ -571,31 +571,11 @@ void HarpAgent::gateway_replace(Direction dir, Transport& t) {
       });
   HARP_ASSERT(pending_it != pending_.end());
   const int layer = pending_it->first.first;
-  Pending pending = std::move(pending_it->second);
+  const Pending pending = std::move(pending_it->second);
   pending_.erase(pending_it);
 
   if (!placed) {
-    // Roll back and deny.
-    if (pending.prev_own_comp.empty()) {
-      s.comp.erase(layer);
-      s.layout.erase(layer);
-    } else {
-      s.comp[layer] = pending.prev_own_comp;
-      s.layout[layer] = pending.prev_layout;
-    }
-    if (pending.requester != kNoNode) {
-      child_comp_[dir_index(dir)][pending.requester][layer] =
-          pending.prev_requester_comp;
-      Message reject;
-      reject.type = MsgType::kReject;
-      reject.src = cfg_.id;
-      reject.dst = pending.requester;
-      reject.payload = RejectPayload{static_cast<std::uint8_t>(layer), dir};
-      t.send(std::move(reject));
-    } else if (pending.demand_rollback) {
-      demand(link(pending.demand_rollback->first), dir) =
-          pending.demand_rollback->second;
-    }
+    unwind(layer, dir, pending, t);  // deny
     return;
   }
 
@@ -629,9 +609,14 @@ void HarpAgent::handle_reject(const Message& msg, Transport& t) {
 bool HarpAgent::abort_pending(int layer, Direction dir, Transport& t) {
   const auto it = pending_.find({layer, dir_index(dir)});
   if (it == pending_.end()) return false;
-  Pending pending = std::move(it->second);
+  const Pending pending = std::move(it->second);
   pending_.erase(it);
+  unwind(layer, dir, pending, t);
+  return true;
+}
 
+void HarpAgent::unwind(int layer, Direction dir, const Pending& pending,
+                       Transport& t) {
   PerDir& s = side(dir);
   if (pending.prev_own_comp.empty()) {
     s.comp.erase(layer);
@@ -643,17 +628,16 @@ bool HarpAgent::abort_pending(int layer, Direction dir, Transport& t) {
   if (pending.requester != kNoNode) {
     child_comp_[dir_index(dir)][pending.requester][layer] =
         pending.prev_requester_comp;
-    Message forward;
-    forward.type = MsgType::kReject;
-    forward.src = cfg_.id;
-    forward.dst = pending.requester;
-    forward.payload = RejectPayload{static_cast<std::uint8_t>(layer), dir};
-    t.send(std::move(forward));
+    Message reject;
+    reject.type = MsgType::kReject;
+    reject.src = cfg_.id;
+    reject.dst = pending.requester;
+    reject.payload = RejectPayload{static_cast<std::uint8_t>(layer), dir};
+    t.send(std::move(reject));
   } else if (pending.demand_rollback) {
     demand(link(pending.demand_rollback->first), dir) =
         pending.demand_rollback->second;
   }
-  return true;
 }
 
 }  // namespace harp::proto

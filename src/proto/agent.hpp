@@ -151,6 +151,12 @@ class HarpAgent {
   void handle_reject(const Message& msg, Transport& t);
   void escalate(Direction dir, int layer, Pending pending, Transport& t);
   void gateway_replace(Direction dir, Transport& t);
+  /// Rolls back one escalation that was refused (kReject, ARQ timeout or
+  /// a failed gateway re-placement): restores this layer's composition
+  /// and layout, then either restores the requester's component and
+  /// rejects it, or restores the local demand that started it.
+  void unwind(int layer, Direction dir, const Pending& pending,
+              Transport& t);
 
   AgentConfig cfg_;
   PerDir dirs_[2];

@@ -11,7 +11,7 @@ namespace harp::rt {
 std::uint64_t state_fingerprint(const core::PartitionTable& parts,
                                 const core::Schedule& sched) {
   // Walks both tables in place: row counts come from the per-node sizes
-  // and total_cells(), so no flattened rows()/entries() copy is built.
+  // and total_cells(), so no flattened copy of either table is built.
   std::uint64_t h = kFnvOffset;
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
     std::size_t rows = 0;

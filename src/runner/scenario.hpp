@@ -1,25 +1,18 @@
-// ScenarioSpec: a declarative, value-typed experiment description.
+// ScenarioSpec: a declarative, value-typed simulation experiment.
 //
-// One spec pins everything a trial needs except its seed: topology
-// source (fixed tree or random-tree generator parameters), traffic
-// profile, slotframe configuration, simulation options, run length, a
-// scripted dynamics timeline, and the scheduler under test. Because a
-// spec is a plain value, a TrialPlan can replicate it N times (each
-// replication getting its own derived seed) or sweep a grid of variants,
-// and run_scenario(spec, seed) is a pure function of its two arguments —
-// the property every fleet determinism guarantee rests on.
-//
-// Two modes share the type:
-//   * kSimulation: full HarpSimulation run — bootstrap, warmup, scripted
-//     dynamics, measurement — reporting latency/loss/overhead (the
-//     Fig. 9 / Fig. 10 / Table II shape);
-//   * kScheduleBuild: build one schedule with the chosen scheduler and
-//     report collision probability and cell counts (the Fig. 11 shape) —
-//     no time simulation.
+// One spec pins everything a trial needs except its seed: topology source
+// (fixed tree or random-tree generator parameters), echo traffic,
+// slotframe, simulation options, run length and a timeline of dynamics,
+// jamming and report checkpoints. A TrialPlan can replicate it N times
+// (each replication with its own derived seed), and run_scenario(spec,
+// seed) — a full HarpSimulation run — is a pure function of its two
+// arguments, the property every fleet determinism guarantee rests on.
+// parse_scenario() reads a spec from a `.scn` script, which is how
+// examples/harp_scenario drives it.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <istream>
 #include <vector>
 
 #include "common/types.hpp"
@@ -30,31 +23,30 @@
 namespace harp::runner {
 
 struct ScenarioSpec {
-  enum class Mode : std::uint8_t { kSimulation, kScheduleBuild };
   enum class TopologyKind : std::uint8_t { kFig1, kTestbed, kRandom };
-  enum class SchedulerKind : std::uint8_t { kHarp, kRandom, kMsf, kLdsf };
 
-  /// One scripted dynamics action, applied at `at_frame` measurement
-  /// frames into the run (actions at the same frame apply in list order).
+  /// One scripted action, applied at `at_frame` measurement frames into
+  /// the run (actions at the same frame apply in list order).
   struct Action {
     enum class Kind : std::uint8_t {
-      kTaskRate,    // change_task_rate(a, value)
-      kLinkDemand,  // change_link_demand(a, dir, value)
-      kJoin,        // join_node(parent=a, up=value, down=b2 ? ... — see cpp
+      kTaskRate,    // change_task_rate(task a, period value)
+      kLinkDemand,  // change_link_demand(child a, dir, cells value)
+      kJoin,        // join_node(parent a, up value, down value2,
+                    //           echo period b; 0 = no echo task)
       kLeave,       // leave_node(a)
-      kRoam,        // roam_node(a, new_parent=b)
+      kRoam,        // roam_node(a, new parent b)
+      kJam,         // channel a succeeds x factor for the next value frames
+      kReport,      // checkpoint: appends a delivery report to "reports"
     };
     Kind kind{Kind::kTaskRate};
     std::uint64_t at_frame{0};
-    std::uint32_t a{0};      // task / node / parent id
-    std::uint32_t b{0};      // secondary id (roam target)
-    std::int32_t value{0};   // period_slots / cells / up_cells
+    std::uint32_t a{0};      // task / node / parent / channel id
+    std::uint32_t b{0};      // roam target / join echo period
+    std::int32_t value{0};   // period_slots / cells / up_cells / frames
     std::int32_t value2{0};  // down_cells (join)
+    double factor{0.0};      // success multiplier (jam)
     Direction dir{Direction::kUp};
   };
-
-  std::string name = "scenario";
-  Mode mode{Mode::kSimulation};
 
   // --- topology ---
   TopologyKind topology{TopologyKind::kTestbed};
@@ -62,6 +54,7 @@ struct ScenarioSpec {
 
   // --- traffic: uniform echo tasks, one per non-gateway node ---
   std::uint32_t task_period_slots = 199;
+  std::uint32_t task_deadline_slots = 0;  // 0 = implicit (the period)
 
   // --- slotframe + simulation options ---
   net::SlotframeConfig frame;
@@ -69,20 +62,25 @@ struct ScenarioSpec {
   std::size_t queue_capacity = 128;
   int own_slack = 0;
 
-  // --- run length (simulation mode) ---
+  // --- run length ---
   std::uint64_t warmup_frames = 0;
   std::uint64_t measure_frames = 60;
 
-  // --- scripted dynamics (simulation mode) ---
+  // --- scripted timeline ---
   std::vector<Action> dynamics;
-
-  // --- scheduler under test (schedule-build mode) ---
-  SchedulerKind scheduler{SchedulerKind::kHarp};
 };
 
 /// Executes one trial of `spec` with `seed` and returns its result
 /// document (docs/RUNNER.md "Scenario results"). Deterministic in
 /// (spec, seed); records into the caller's current obs context.
 obs::Json run_scenario(const ScenarioSpec& spec, std::uint64_t seed);
+
+/// Reads a `.scn` script (docs/RUNNER.md "Scenario scripts"). Setup
+/// commands precede `bootstrap`; each `run frames=N` then advances the
+/// timeline, and actions and `report` checkpoints land at the frame
+/// reached so far. Throws InvalidArgument("line N: ...") on an unknown
+/// command or key, a missing or malformed value, or an action before
+/// `bootstrap`.
+ScenarioSpec parse_scenario(std::istream& in);
 
 }  // namespace harp::runner

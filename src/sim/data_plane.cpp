@@ -71,10 +71,16 @@ const net::Task* DataPlane::find_spec(TaskId task) const {
 
 void DataPlane::set_schedule(const core::Schedule& schedule) {
   for (auto& v : by_slot_) v.clear();
-  for (const core::ScheduleEntry& e : schedule.entries()) {
-    HARP_ASSERT(e.cell.slot < config_.frame.length);
-    HARP_ASSERT(e.cell.channel < config_.frame.num_channels);
-    by_slot_[e.cell.slot].push_back({e.child, e.dir, e.cell});
+  // Child-major, uplink before downlink: the per-slot entry order the
+  // transmit loop (and so every pinned digest) depends on.
+  for (NodeId child = 0; child < schedule.num_nodes(); ++child) {
+    for (const Direction dir : {Direction::kUp, Direction::kDown}) {
+      for (const Cell c : schedule.cells(child, dir)) {
+        HARP_ASSERT(c.slot < config_.frame.length);
+        HARP_ASSERT(c.channel < config_.frame.num_channels);
+        by_slot_[c.slot].push_back({child, dir, c});
+      }
+    }
   }
 }
 

@@ -27,9 +27,12 @@ using FlatSchedule = std::vector<std::tuple<NodeId, int, SlotId, ChannelId>>;
 
 FlatSchedule flatten(const Schedule& s) {
   FlatSchedule out;
-  for (const ScheduleEntry& e : s.entries()) {
-    out.emplace_back(e.child, static_cast<int>(e.dir), e.cell.slot,
-                     e.cell.channel);
+  for (NodeId child = 0; child < s.num_nodes(); ++child) {
+    for (const Direction dir : {Direction::kUp, Direction::kDown}) {
+      for (const Cell c : s.cells(child, dir)) {
+        out.emplace_back(child, static_cast<int>(dir), c.slot, c.channel);
+      }
+    }
   }
   std::sort(out.begin(), out.end());
   return out;

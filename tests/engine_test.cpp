@@ -266,6 +266,11 @@ struct DynamicCase {
   int steps;
 };
 
+// Names the ctest case (gtest would print the raw bytes, padding included).
+void PrintTo(const DynamicCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_steps" << c.steps;
+}
+
 class EngineDynamicProperty : public ::testing::TestWithParam<DynamicCase> {};
 
 // Fuzz the dynamic phase: random demand changes must always leave the

@@ -162,10 +162,14 @@ TEST(MultiTree, FailoverMovesTraffic) {
   const auto sched = harp.global_schedule(Tree::kSecondary);
   const auto [s0, s1] = harp.region(Tree::kSecondary);
   bool has_cells = false;
-  for (const auto& e : sched.entries()) {
-    EXPECT_GE(e.cell.slot, s0);
-    EXPECT_LT(e.cell.slot, s1);
-    has_cells = true;
+  for (NodeId child = 0; child < sched.num_nodes(); ++child) {
+    for (const Direction dir : {Direction::kUp, Direction::kDown}) {
+      for (const Cell c : sched.cells(child, dir)) {
+        EXPECT_GE(c.slot, s0);
+        EXPECT_LT(c.slot, s1);
+        has_cells = true;
+      }
+    }
   }
   EXPECT_TRUE(has_cells);
 }

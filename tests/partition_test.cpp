@@ -165,6 +165,12 @@ struct IsolationCase {
   ChannelId channels;
 };
 
+// Names the ctest case (gtest would print the raw bytes, padding included).
+void PrintTo(const IsolationCase& c, std::ostream* os) {
+  *os << "n" << c.nodes << "_l" << c.layers << "_seed" << c.seed << "_ch"
+      << c.channels;
+}
+
 class IsolationProperty : public ::testing::TestWithParam<IsolationCase> {};
 
 // The paper's core claim (Sec. IV-C): partition allocation isolates every

@@ -378,24 +378,8 @@ TEST(Fleet, TraceShardsAreTaggedByTrial) {
 
 // ---------------------------------------------------------- run_scenario
 
-TEST(Scenario, ScheduleBuildModeIsDeterministic) {
-  ScenarioSpec spec;
-  spec.mode = ScenarioSpec::Mode::kScheduleBuild;
-  spec.topology = ScenarioSpec::TopologyKind::kRandom;
-  spec.random_tree = {.num_nodes = 30, .num_layers = 4, .max_children = 4};
-  spec.scheduler = ScenarioSpec::SchedulerKind::kHarp;
-  const obs::Json a = run_scenario(spec, 77);
-  const obs::Json b = run_scenario(spec, 77);
-  EXPECT_EQ(a.dump_string(0), b.dump_string(0));
-  ASSERT_NE(a.find("collision_probability"), nullptr);
-  // HARP schedules are collision-free by construction.
-  EXPECT_DOUBLE_EQ(a.find("collision_probability")->number(), 0.0);
-  EXPECT_GT(a.find("total_cells")->number(), 0.0);
-}
-
 TEST(Scenario, SimulationModeRunsDynamics) {
   ScenarioSpec spec;
-  spec.mode = ScenarioSpec::Mode::kSimulation;
   spec.topology = ScenarioSpec::TopologyKind::kFig1;
   spec.task_period_slots = 199;
   spec.warmup_frames = 1;
@@ -419,10 +403,15 @@ TEST(Scenario, SimulationModeRunsDynamics) {
 
 TEST(Scenario, FleetOverScenarioIsJobsInvariant) {
   ScenarioSpec spec;
-  spec.mode = ScenarioSpec::Mode::kScheduleBuild;
   spec.topology = ScenarioSpec::TopologyKind::kRandom;
-  spec.random_tree = {.num_nodes = 25, .num_layers = 3, .max_children = 4};
-  spec.scheduler = ScenarioSpec::SchedulerKind::kMsf;
+  spec.random_tree = {.num_nodes = 12, .num_layers = 3, .max_children = 4};
+  spec.own_slack = 1;
+  spec.pdr = 0.95;
+  spec.measure_frames = 4;
+  ScenarioSpec::Action report;
+  report.kind = ScenarioSpec::Action::Kind::kReport;
+  report.at_frame = 2;
+  spec.dynamics.push_back(report);
   const auto fn = [&spec](const TrialSpec& t) {
     return run_scenario(spec, t.seed);
   };
@@ -434,6 +423,117 @@ TEST(Scenario, FleetOverScenarioIsJobsInvariant) {
   const FleetResult b = run_fleet(plan, wide, fn);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.aggregate.dump_string(0), b.aggregate.dump_string(0));
+  // Per-trial seeds reach the topology: the random trees differ.
+  EXPECT_NE(a.trial_results[0].dump_string(0),
+            a.trial_results[1].dump_string(0));
+  // The checkpoint is summarised across trials like any other path.
+  const obs::Json* generated = a.aggregate.find("reports.0.generated");
+  ASSERT_NE(generated, nullptr);
+  EXPECT_DOUBLE_EQ(generated->find("count")->number(), 6.0);
+}
+
+// ------------------------------------------------------- parse_scenario
+
+ScenarioSpec parse(const std::string& text) {
+  std::istringstream in(text);
+  return parse_scenario(in);
+}
+
+TEST(ScenarioParse, ScriptBecomesSpecAndTimeline) {
+  const ScenarioSpec spec = parse(R"(# comment line
+net random nodes=30 layers=4 fanout=3
+frame length=399 data=360 channels=8   # trailing comment
+options slack=2 pdr=0.9
+tasks period=399 deadline=798
+bootstrap
+run frames=5
+report
+demand node=7 dir=down cells=3
+run frames=10
+join parent=3 up=2 down=1
+jam channel=7 frames=3 factor=0.25
+run frames=1
+report
+)");
+  EXPECT_EQ(spec.topology, ScenarioSpec::TopologyKind::kRandom);
+  EXPECT_EQ(spec.random_tree.num_nodes, 30u);
+  EXPECT_EQ(spec.random_tree.max_children, 3u);
+  EXPECT_EQ(spec.frame.data_slots, 360u);
+  EXPECT_EQ(spec.own_slack, 2);
+  EXPECT_DOUBLE_EQ(spec.pdr, 0.9);
+  EXPECT_EQ(spec.task_deadline_slots, 798u);
+  EXPECT_EQ(spec.measure_frames, 16u);
+
+  using Kind = ScenarioSpec::Action::Kind;
+  const std::vector<ScenarioSpec::Action>& d = spec.dynamics;
+  ASSERT_EQ(d.size(), 5u);
+  EXPECT_EQ(d[0].kind, Kind::kReport);
+  EXPECT_EQ(d[0].at_frame, 5u);
+  EXPECT_EQ(d[1].kind, Kind::kLinkDemand);
+  EXPECT_EQ(d[1].dir, Direction::kDown);
+  EXPECT_EQ(d[1].value, 3);
+  EXPECT_EQ(d[2].kind, Kind::kJoin);
+  EXPECT_EQ(d[2].at_frame, 15u);
+  EXPECT_EQ(d[2].b, 399u);  // echo period defaults to the task period
+  EXPECT_EQ(d[3].kind, Kind::kJam);
+  EXPECT_DOUBLE_EQ(d[3].factor, 0.25);
+  EXPECT_EQ(d[4].kind, Kind::kReport);
+  EXPECT_EQ(d[4].at_frame, 16u);
+}
+
+TEST(ScenarioParse, RejectsMalformedLinesWithTheirNumber) {
+  const std::string ok = "net testbed\nbootstrap\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {ok + "explode\n", "line 3: unknown command 'explode'"},
+      {"options seed=11\n", "line 1: unknown key 'seed' for 'options'"},
+      {ok + "run\n", "line 3: missing value for 'frames'"},
+      {ok + "run frames=\n",
+       "line 3: 'frames' expects a number in [0, 4294967295], got ''"},
+      {ok + "run frames=ten\n",
+       "line 3: 'frames' expects a number in [0, 4294967295], got 'ten'"},
+      {ok + "demand node=3 cells=-2\n",
+       "line 3: 'cells' expects a number in [0, 2147483647], got '-2'"},
+      {ok + "jam channel=16 frames=2\n",
+       "line 3: 'channel' expects a number in [0, 15], got '16'"},
+      {ok + "demand node=3 dir=left cells=2\n",
+       "line 3: 'dir' expects up|down, got 'left'"},
+      {"options pdr=1.5\n",
+       "line 1: 'pdr' expects a number in [0, 1], got '1.5'"},
+      {"run frames=3\n", "line 1: 'run' needs 'bootstrap' first"},
+      {ok + "tasks period=100\n",
+       "line 3: 'tasks' must come before 'bootstrap'"},
+      {"net mesh\n", "line 1: net expects testbed|fig1|random"},
+      {"frame length=10 data=20\n",
+       "line 1: data sub-frame exceeds slotframe"},
+      {ok + "report now\n", "line 3: unexpected argument 'now'"},
+      {ok + "run frames=1 frames=2\n", "line 3: key 'frames' given twice"},
+      {"net testbed\n", "line 1: script never runs 'bootstrap'"},
+  };
+  for (const auto& [script, message] : cases) {
+    try {
+      parse(script);
+      ADD_FAILURE() << "accepted: " << script;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+}
+
+TEST(ScenarioParse, ReportsAndJamReachTheResult) {
+  // Loss-free fig1 network whose second window is jammed on both of its
+  // channels: that report shows fewer deliveries than packets made.
+  const obs::Json r = run_scenario(
+      parse("net fig1\nframe channels=2\nbootstrap\nrun frames=3\nreport\n"
+            "jam channel=0 frames=3\njam channel=1 frames=3\n"
+            "run frames=3\nreport\n"),
+      9);
+  const obs::Json::Array& reports = *r.find("reports")->as_array();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_DOUBLE_EQ(reports[0].find("frame")->number(), 3.0);
+  EXPECT_DOUBLE_EQ(reports[1].find("frame")->number(), 6.0);
+  EXPECT_DOUBLE_EQ(reports[0].find("delivery_ratio")->number(), 1.0);
+  EXPECT_LT(reports[1].find("delivery_ratio")->number(), 1.0);
+  EXPECT_DOUBLE_EQ(r.find("dynamics")->find("actions")->number(), 2.0);
 }
 
 }  // namespace

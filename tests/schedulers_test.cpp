@@ -35,9 +35,13 @@ void expect_demands_met(const net::Topology& topo,
 
 void expect_in_data_subframe(const core::Schedule& s,
                              const net::SlotframeConfig& f) {
-  for (const auto& e : s.entries()) {
-    EXPECT_LT(e.cell.slot, f.data_slots);
-    EXPECT_LT(e.cell.channel, f.num_channels);
+  for (NodeId child = 0; child < s.num_nodes(); ++child) {
+    for (const Direction dir : {Direction::kUp, Direction::kDown}) {
+      for (const Cell c : s.cells(child, dir)) {
+        EXPECT_LT(c.slot, f.data_slots);
+        EXPECT_LT(c.channel, f.num_channels);
+      }
+    }
   }
 }
 

@@ -238,6 +238,11 @@ struct ChurnCase {
   int steps;
 };
 
+// Names the ctest case (gtest would print the raw bytes, padding included).
+void PrintTo(const ChurnCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_steps" << c.steps;
+}
+
 class TopologyChurn : public ::testing::TestWithParam<ChurnCase> {};
 
 // Random interleaving of demand changes, joins, leaves and reparenting

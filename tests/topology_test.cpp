@@ -150,6 +150,12 @@ struct GenCase {
   std::uint64_t seed;
 };
 
+// Names the ctest case (gtest would print the raw bytes, padding included).
+void PrintTo(const GenCase& c, std::ostream* os) {
+  *os << "n" << c.nodes << "_l" << c.layers << "_fan" << c.max_children
+      << "_seed" << c.seed;
+}
+
 class RandomTreeProperty : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(RandomTreeProperty, MeetsSpec) {
