@@ -21,12 +21,12 @@
 // When given, the report embeds them under results.reference with the
 // speedup ratios — this is how the optimization trajectory is recorded
 // (docs/PERFORMANCE.md).
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
@@ -53,17 +53,6 @@ net::SlotframeConfig bench_frame() {
   f.num_channels = 16;
   f.data_slots = 1930;
   return f;
-}
-
-double quantile(std::vector<std::uint64_t> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return static_cast<double>(v[lo]) +
-         frac * (static_cast<double>(v[hi]) - static_cast<double>(v[lo]));
 }
 
 std::uint64_t counter(const char* name) {
@@ -127,7 +116,7 @@ int main(int argc, char** argv) {
   // mixing local absorptions, escalations and releases exactly like a
   // long-running dynamic network.
   core::HarpEngine churn_engine(topo, tasks, frame);
-  std::vector<std::uint64_t> adjust_ns;
+  Stats adjust_ns;  // whole nanoseconds per request_demand call
   std::size_t satisfied = 0;
   for (int round = 0; round < kChurnRounds; ++round) {
     for (NodeId child = 1; child < topo.size(); ++child) {
@@ -136,15 +125,14 @@ int main(int argc, char** argv) {
       const int cells = 1 + (round + static_cast<int>(child)) % 3;
       bench::Timer t;
       const auto r = churn_engine.request_demand(child, dir, cells);
-      adjust_ns.push_back(static_cast<std::uint64_t>(t.seconds() * 1e9));
+      adjust_ns.add(static_cast<double>(
+          static_cast<std::uint64_t>(t.seconds() * 1e9)));
       if (r.satisfied) ++satisfied;
     }
   }
-  const double median_ns = quantile(adjust_ns, 0.5);
-  const double p90_ns = quantile(adjust_ns, 0.9);
-  double mean_ns = 0.0;
-  for (std::uint64_t ns : adjust_ns) mean_ns += static_cast<double>(ns);
-  mean_ns /= static_cast<double>(adjust_ns.size());
+  const double mean_ns = adjust_ns.mean();
+  const double median_ns = adjust_ns.median();
+  const double p90_ns = adjust_ns.percentile(90.0);
 
   // -------------------------------------------------------- reporting
   bench::Table table({"metric", "value"}, 26);
@@ -153,7 +141,7 @@ int main(int argc, char** argv) {
   table.row({"adjust median us", bench::fmt(median_ns / 1e3, 2)});
   table.row({"adjust p90 us", bench::fmt(p90_ns / 1e3, 2)});
   table.row({"adjust mean us", bench::fmt(mean_ns / 1e3, 2)});
-  table.row({"adjustments", std::to_string(adjust_ns.size())});
+  table.row({"adjustments", std::to_string(adjust_ns.count())});
   table.print();
 
   bench::JsonReport report("perf_steady_state", args);
@@ -190,7 +178,7 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(counter("harp.sim.tx_link_loss"));
 
   obs::Json& adjust = results["adjust"];
-  adjust["count"] = static_cast<std::int64_t>(adjust_ns.size());
+  adjust["count"] = static_cast<std::int64_t>(adjust_ns.count());
   adjust["satisfied"] = static_cast<std::int64_t>(satisfied);
   adjust["median_ns"] = median_ns;
   adjust["p90_ns"] = p90_ns;

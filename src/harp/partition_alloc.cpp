@@ -28,6 +28,12 @@ void PartitionTable::erase(Direction dir, NodeId node, int layer) {
   side(dir)[node].erase(layer);
 }
 
+void PartitionTable::assign(Direction dir, NodeId node, PerNode row) {
+  HARP_ASSERT(node < num_nodes());
+  std::erase_if(row, [](const auto& entry) { return entry.second.empty(); });
+  side(dir)[node] = std::move(row);
+}
+
 std::vector<int> PartitionTable::layers(Direction dir, NodeId node) const {
   HARP_ASSERT(node < num_nodes());
   std::vector<int> out;

@@ -59,6 +59,9 @@ class PartitionTable {
     HARP_ASSERT(node < num_nodes());
     return side(dir)[node];
   }
+  /// Replaces all of one node's partitions of one direction; empty ones
+  /// are dropped, as set() drops them.
+  void assign(Direction dir, NodeId node, PerNode row);
 
   /// All partitions of one direction, flattened as (node, layer, P).
   struct Row {

@@ -23,7 +23,9 @@ core::ResourceComponent comp_from(const IntfItem& item) {
 
 }  // namespace
 
-HarpAgent::HarpAgent(AgentConfig cfg) : cfg_(std::move(cfg)) {
+HarpAgent::HarpAgent(AgentConfig cfg, core::PartitionTable& parts,
+                     core::Schedule& schedule)
+    : cfg_(std::move(cfg)), parts_(parts), schedule_(schedule) {
   cfg_.frame.validate();
   if (cfg_.id == kNoNode) throw InvalidArgument("agent needs a node id");
 }
@@ -34,24 +36,6 @@ ChildLink& HarpAgent::link(NodeId child) {
   }
   throw InvalidArgument("node " + std::to_string(cfg_.id) +
                         " has no child " + std::to_string(child));
-}
-
-core::Partition HarpAgent::partition(Direction dir, int layer) const {
-  const auto& m = side(dir).part;
-  const auto it = m.find(layer);
-  return it == m.end() ? core::Partition{} : it->second;
-}
-
-std::vector<int> HarpAgent::partition_layers(Direction dir) const {
-  std::vector<int> out;
-  for (const auto& [layer, p] : side(dir).part) out.push_back(layer);
-  return out;
-}
-
-std::vector<Cell> HarpAgent::child_cells(NodeId child, Direction dir) const {
-  const auto& m = cells_[dir_index(dir)];
-  const auto it = m.find(child);
-  return it == m.end() ? std::vector<Cell>{} : it->second;
 }
 
 int HarpAgent::child_demand(NodeId child, Direction dir) const {
@@ -149,8 +133,8 @@ void HarpAgent::gateway_allocate(Transport& t) {
   // bootstrap reproduces the oracle bit for bit.
   auto [up_parts, down_parts] = core::initial_gateway_layout(
       side(Direction::kUp).comp, side(Direction::kDown).comp, cfg_.frame);
-  side(Direction::kUp).part = std::move(up_parts);
-  side(Direction::kDown).part = std::move(down_parts);
+  parts_.assign(Direction::kUp, cfg_.id, std::move(up_parts));
+  parts_.assign(Direction::kDown, cfg_.id, std::move(down_parts));
   send_initial_grants(t);
   reassign_cells(Direction::kUp, t);
   reassign_cells(Direction::kDown, t);
@@ -164,9 +148,8 @@ void HarpAgent::send_initial_grants(Transport& t) {
     for (Direction dir : {Direction::kUp, Direction::kDown}) {
       PerDir& s = side(dir);
       for (const auto& [layer, placements] : s.layout) {
-        const auto part_it = s.part.find(layer);
-        if (part_it == s.part.end()) continue;
-        const core::Partition& base = part_it->second;
+        const core::Partition base = partition(dir, layer);
+        if (base.empty()) continue;
         for (const packing::Placement& pl : placements) {
           if (pl.id != l.child) continue;
           const core::Partition child_part{
@@ -207,16 +190,12 @@ void HarpAgent::reassign_cells(Direction dir, Transport& t) {
     }
   }
   // Tell every child whose cells changed (data-plane message, not counted
-  // as HARP overhead).
-  auto& current = cells_[dir_index(dir)];
+  // as HARP overhead) and install its fresh row.
   for (const ChildLink& l : cfg_.children) {
     const auto it = next.find(l.child);
-    const std::vector<Cell> fresh =
-        it == next.end() ? std::vector<Cell>{} : it->second;
-    const auto cur_it = current.find(l.child);
-    const std::vector<Cell> old =
-        cur_it == current.end() ? std::vector<Cell>{} : cur_it->second;
-    if (fresh == old) continue;
+    std::vector<Cell> fresh =
+        it == next.end() ? std::vector<Cell>{} : std::move(it->second);
+    if (fresh == schedule_.cells(l.child, dir)) continue;
     Message msg;
     msg.type = MsgType::kCellAssign;
     msg.src = cfg_.id;
@@ -230,8 +209,8 @@ void HarpAgent::reassign_cells(Direction dir, Transport& t) {
     }
     msg.payload = std::move(payload);
     t.send(std::move(msg));
+    schedule_.set_cells(l.child, dir, std::move(fresh));
   }
-  current = std::move(next);
 }
 
 // ----------------------------------------------------------- message pump
@@ -262,7 +241,7 @@ void HarpAgent::on_message(const Message& msg, Transport& t) {
     case MsgType::kPostPart: {
       const auto& payload = std::get<PartPayload>(msg.payload);
       for (const PartItem& item : payload.items) {
-        side(item.dir).part[item.layer] = from_part_item(item);
+        parts_.set(item.dir, cfg_.id, item.layer, from_part_item(item));
       }
       send_initial_grants(t);
       reassign_cells(Direction::kUp, t);
@@ -310,9 +289,8 @@ void HarpAgent::carve_and_grant(Direction dir, int layer, Transport& t) {
   PerDir& s = side(dir);
   const auto layout_it = s.layout.find(layer);
   if (layout_it == s.layout.end() || layout_it->second.empty()) return;
-  const auto part_it = s.part.find(layer);
-  HARP_ASSERT(part_it != s.part.end());
-  const core::Partition& base = part_it->second;
+  const core::Partition base = partition(dir, layer);
+  HARP_ASSERT(!base.empty());
   for (const packing::Placement& pl : layout_it->second) {
     const auto child = static_cast<NodeId>(pl.id);
     const core::Partition next{child_comp_[dir_index(dir)][child][layer],
@@ -415,12 +393,10 @@ void HarpAgent::remove_child(NodeId child, Transport& t) {
 
   std::erase_if(cfg_.children,
                 [&](const ChildLink& c) { return c.child == child; });
-  for (int d = 0; d < 2; ++d) {
-    child_comp_[d].erase(child);
-    granted_[d].erase(child);
-    cells_[d].erase(child);
-  }
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    child_comp_[dir_index(dir)].erase(child);
+    granted_[dir_index(dir)].erase(child);
+    schedule_.clear_link(child, dir);
     for (auto& [layer, layout] : side(dir).layout) {
       std::erase_if(layout, [&](const packing::Placement& p) {
         return p.id == static_cast<std::uint64_t>(child);
@@ -437,12 +413,13 @@ void HarpAgent::rehome(NodeId new_parent, int new_link_layer) {
   cfg_.parent = new_parent;
   cfg_.link_layer = new_link_layer;
   // Residual relay-era state (a node whose children all left keeps its
-  // reservations) must not survive the move.
-  for (int d = 0; d < 2; ++d) {
-    dirs_[d] = PerDir{};
-    child_comp_[d].clear();
-    granted_[d].clear();
-    cells_[d].clear();
+  // reservations) must not survive the move. Its children's cell rows are
+  // already empty: remove_child cleared each one.
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    side(dir) = PerDir{};
+    child_comp_[dir_index(dir)].clear();
+    granted_[dir_index(dir)].clear();
+    parts_.assign(dir, cfg_.id, {});
   }
   pending_.clear();
 }
@@ -555,13 +532,14 @@ void HarpAgent::handle_put_intf(const Message& msg, Transport& t) {
 }
 
 void HarpAgent::gateway_replace(Direction dir, Transport& t) {
-  PerDir& s = side(dir);
-  const PerDir& other =
-      side(dir == Direction::kUp ? Direction::kDown : Direction::kUp);
+  const Direction other =
+      dir == Direction::kUp ? Direction::kDown : Direction::kUp;
 
   // Anchored-then-compact re-placement (shared with the engine).
-  const auto placed = core::replace_gateway_side(s.comp, dir, cfg_.frame,
-                                                 s.part, other.part);
+  const auto placed =
+      core::replace_gateway_side(side(dir).comp, dir, cfg_.frame,
+                                 parts_.of(dir, cfg_.id),
+                                 parts_.of(other, cfg_.id));
 
   // The pending entry for the layer under adjustment (there is exactly
   // one in our serialized-request model).
@@ -581,7 +559,7 @@ void HarpAgent::gateway_replace(Direction dir, Transport& t) {
 
   // Adopt the new layout and regrant whatever moved (carve_and_grant only
   // messages children whose partition actually changed).
-  s.part = *placed;
+  parts_.assign(dir, cfg_.id, *placed);
   for (const auto& [l, p] : *placed) {
     carve_and_grant(dir, l, t);
     if (l == cfg_.link_layer) reassign_cells(dir, t);
@@ -593,7 +571,7 @@ void HarpAgent::handle_put_part(const Message& msg, Transport& t) {
   for (const PartItem& item : payload.items) {
     const Direction dir = item.dir;
     const int layer = item.layer;
-    side(dir).part[layer] = from_part_item(item);
+    parts_.set(dir, cfg_.id, layer, from_part_item(item));
     pending_.erase({layer, dir_index(dir)});  // grant commits the tentative
     carve_and_grant(dir, layer, t);
     if (layer == cfg_.link_layer) reassign_cells(dir, t);

@@ -1,13 +1,21 @@
 // Distributed per-node HARP protocol agent.
 //
-// HarpAgent is the node-local program of Fig. 8: it owns exactly the state
-// a real device holds (its children's link demands, the interfaces its
-// children reported, its own composed components/layouts, the partitions
-// granted by its parent, and the cells it assigned to its links) and
-// drives all three phases purely by exchanging Messages through a
-// Transport. Running one agent per node against any transport — the
-// in-memory loopback used by tests or the simulator's management plane —
-// executes HARP exactly as the testbed deployment does.
+// HarpAgent is the node-local program of Fig. 8: it holds exactly the
+// state a real device holds (its children's link demands, the interfaces
+// its children reported, its own composed components/layouts, the
+// partitions granted by its parent, and the cells it assigned to its
+// links) and drives all three phases purely by exchanging Messages
+// through a Transport. Running one agent per node against any transport —
+// the in-memory loopback used by tests or the simulator's management
+// plane — executes HARP exactly as the testbed deployment does.
+//
+// Where the state lives: the partitions and cells are rows of the
+// network's core::PartitionTable and core::Schedule, which the agent
+// borrows at construction (rt::ProtoRuntime owns both). An agent reads
+// and writes only its own partition rows (node = id()) and the cell rows
+// of its current children (child = a ChildLink's node). Every child has
+// exactly one parent, so no two agents write the same row. Everything
+// else above is private to the agent.
 //
 // The engine (harp/engine.hpp) computes the same protocol centrally;
 // integration tests assert that agents and engine converge to identical
@@ -20,8 +28,10 @@
 
 #include "harp/adjustment.hpp"
 #include "harp/compose.hpp"
+#include "harp/partition_alloc.hpp"
 #include "harp/resource.hpp"
 #include "harp/rm_scheduler.hpp"
+#include "harp/schedule.hpp"
 #include "net/slotframe.hpp"
 #include "proto/messages.hpp"
 
@@ -59,7 +69,10 @@ struct AgentConfig {
 
 class HarpAgent {
  public:
-  explicit HarpAgent(AgentConfig cfg);
+  /// `parts` and `schedule` are the network's tables (sized to cover
+  /// this node and its children); they must outlive the agent.
+  HarpAgent(AgentConfig cfg, core::PartitionTable& parts,
+            core::Schedule& schedule);
 
   NodeId id() const { return cfg_.id; }
   bool is_gateway() const { return cfg_.parent == kNoNode; }
@@ -103,11 +116,13 @@ class HarpAgent {
   /// True once partitions were granted and cells assigned.
   bool ready() const { return ready_; }
   /// This node's partition at (dir, layer); empty if none.
-  core::Partition partition(Direction dir, int layer) const;
+  core::Partition partition(Direction dir, int layer) const {
+    return parts_.get(dir, cfg_.id, layer);
+  }
   /// Layers at which this node holds a partition.
-  std::vector<int> partition_layers(Direction dir) const;
-  /// Cells currently assigned to the link to `child`.
-  std::vector<Cell> child_cells(NodeId child, Direction dir) const;
+  std::vector<int> partition_layers(Direction dir) const {
+    return parts_.layers(dir, cfg_.id);
+  }
   /// Current demand bookkeeping (for tests).
   int child_demand(NodeId child, Direction dir) const;
   /// True while an escalated adjustment awaits the parent's verdict.
@@ -117,7 +132,6 @@ class HarpAgent {
   struct PerDir {
     std::map<int, core::ResourceComponent> comp;                // by layer
     std::map<int, std::vector<packing::Placement>> layout;      // by layer
-    std::map<int, core::Partition> part;                        // by layer
   };
   struct Pending {
     NodeId requester{kNoNode};  // child that sent PUT-intf; kNoNode = self
@@ -159,13 +173,15 @@ class HarpAgent {
               Transport& t);
 
   AgentConfig cfg_;
+  /// The network's tables: this node's partition rows, its children's
+  /// cell rows.
+  core::PartitionTable& parts_;
+  core::Schedule& schedule_;
   PerDir dirs_[2];
   /// Interfaces reported by children: child -> dir -> layer -> component.
   std::map<NodeId, std::map<int, core::ResourceComponent>> child_comp_[2];
   /// Partitions last granted to each child: child -> layer -> partition.
   std::map<NodeId, std::map<int, core::Partition>> granted_[2];
-  /// Cells last assigned to each child link.
-  std::map<NodeId, std::vector<Cell>> cells_[2];
   /// Non-leaf children whose POST-intf is still missing.
   std::size_t awaiting_children_{0};
   std::map<std::pair<int, int>, Pending> pending_;  // (layer, dir) -> state

@@ -1,10 +1,11 @@
 #include "rt/runtime.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "proto/network.hpp"
+#include "harp/rm_scheduler.hpp"
 
 namespace harp::rt {
 
@@ -55,15 +56,35 @@ ProtoRuntime::ProtoRuntime(const net::Topology& topo,
       own_slack_(own_slack),
       opt_(opt),
       d_(d),
-      ch_(ch) {
-  for (proto::AgentConfig& cfg :
-       proto::make_agent_configs(topo, traffic, frame, tasks, own_slack)) {
+      ch_(ch),
+      parts_(topo.size()),
+      schedule_(topo.size()) {
+  // Demands come from the traffic matrix, RM priorities from the tasks.
+  const core::LinkPeriods periods = core::link_periods(topo, tasks);
+  for (NodeId v = 0; v < topo.size(); ++v) {
+    proto::AgentConfig cfg = agent_config(v);
+    for (NodeId c : topo.children(v)) {
+      cfg.children.push_back(proto::ChildLink{
+          c, topo.is_leaf(c), traffic.uplink(c), traffic.downlink(c),
+          periods.up[c], periods.down[c]});
+    }
     add_agent(std::move(cfg));
   }
 }
 
+proto::AgentConfig ProtoRuntime::agent_config(NodeId v) const {
+  proto::AgentConfig cfg;
+  cfg.id = v;
+  cfg.parent = topo_.parent(v);
+  cfg.link_layer = topo_.link_layer(v);
+  cfg.frame = frame_;
+  cfg.own_slack = own_slack_;
+  return cfg;
+}
+
 void ProtoRuntime::add_agent(proto::AgentConfig cfg) {
-  agents_.push_back(std::make_unique<proto::HarpAgent>(std::move(cfg)));
+  agents_.push_back(
+      std::make_unique<proto::HarpAgent>(std::move(cfg), parts_, schedule_));
   // The endpoint attaches itself to the channel as its agent's sink.
   endpoints_.push_back(std::make_unique<ReliableEndpoint>(
       *agents_.back(), d_, ch_, opt_.arq));
@@ -82,6 +103,17 @@ const proto::HarpAgent& ProtoRuntime::agent(NodeId id) const {
 ReliableEndpoint& ProtoRuntime::endpoint(NodeId id) {
   HARP_ASSERT(id < endpoints_.size());
   return *endpoints_[id];
+}
+
+void ProtoRuntime::require_node(std::string_view op, NodeId node,
+                                bool device) const {
+  if (node < topo_.size() && !(device && node == net::Topology::gateway())) {
+    return;
+  }
+  throw InvalidArgument(std::string(op) +
+                        (node < topo_.size() ? ": gateway node "
+                                             : ": unknown node ") +
+                        std::to_string(node));
 }
 
 proto::MessageStats ProtoRuntime::settle() {
@@ -114,7 +146,7 @@ proto::MessageStats ProtoRuntime::bootstrap() {
 
 proto::MessageStats ProtoRuntime::change_demand(NodeId child, Direction dir,
                                                 int cells) {
-  HARP_ASSERT(child != net::Topology::gateway() && child < topo_.size());
+  require_node("change_demand", child, true);
   const NodeId parent = topo_.parent(child);
   ch_.reset_stats();
   d_.post([this, parent, child, dir, cells] {
@@ -126,17 +158,12 @@ proto::MessageStats ProtoRuntime::change_demand(NodeId child, Direction dir,
 ProtoRuntime::JoinResult ProtoRuntime::join_node(NodeId parent, int up_cells,
                                                  int down_cells,
                                                  std::uint32_t rm_period) {
-  HARP_ASSERT(parent < topo_.size());
+  require_node("join_node", parent, false);
   topo_ = topo_.with_leaf(parent);
   const NodeId node = static_cast<NodeId>(topo_.size() - 1);
-
-  proto::AgentConfig cfg;
-  cfg.id = node;
-  cfg.parent = parent;
-  cfg.link_layer = topo_.link_layer(node);
-  cfg.frame = frame_;
-  cfg.own_slack = own_slack_;
-  add_agent(std::move(cfg));
+  parts_.resize(topo_.size());
+  schedule_.resize(topo_.size());
+  add_agent(agent_config(node));
 
   ch_.reset_stats();
   d_.post([this, node] { agent(node).start(endpoint(node)); });
@@ -149,7 +176,7 @@ ProtoRuntime::JoinResult ProtoRuntime::join_node(NodeId parent, int up_cells,
 }
 
 proto::MessageStats ProtoRuntime::leave_node(NodeId leaf) {
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
+  require_node("leave_node", leaf, true);
   const NodeId parent = topo_.parent(leaf);
   ch_.reset_stats();
   d_.post([this, parent, leaf] {
@@ -159,7 +186,9 @@ proto::MessageStats ProtoRuntime::leave_node(NodeId leaf) {
 }
 
 proto::MessageStats ProtoRuntime::roam_node(NodeId leaf, NodeId new_parent) {
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topo_.size());
+  require_node("roam_node", leaf, true);
+  require_node("roam_node", new_parent, false);
+  net::Topology moved = topo_.with_parent(leaf, new_parent);  // no cycles
   const NodeId old_parent = topo_.parent(leaf);
   const int up = agent(old_parent).child_demand(leaf, Direction::kUp);
   const int down = agent(old_parent).child_demand(leaf, Direction::kDown);
@@ -169,7 +198,7 @@ proto::MessageStats ProtoRuntime::roam_node(NodeId leaf, NodeId new_parent) {
     agent(old_parent).remove_child(leaf, endpoint(old_parent));
   });
   settle();
-  topo_ = topo_.with_parent(leaf, new_parent);  // validates against cycles
+  topo_ = std::move(moved);
   agent(leaf).rehome(new_parent, topo_.link_layer(leaf));
   d_.post([this, new_parent, leaf, up, down] {
     agent(new_parent).add_child(
@@ -177,34 +206,6 @@ proto::MessageStats ProtoRuntime::roam_node(NodeId leaf, NodeId new_parent) {
         endpoint(new_parent));
   });
   return settle();
-}
-
-core::Schedule ProtoRuntime::current_schedule() const {
-  core::Schedule schedule(topo_.size());
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    for (NodeId c : topo_.children(v)) {
-      for (Direction dir : {Direction::kUp, Direction::kDown}) {
-        schedule.set_cells(c, dir, agent(v).child_cells(c, dir));
-      }
-    }
-  }
-  return schedule;
-}
-
-core::PartitionTable ProtoRuntime::current_partitions() const {
-  core::PartitionTable parts(topo_.size());
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    for (Direction dir : {Direction::kUp, Direction::kDown}) {
-      for (int layer : agent(v).partition_layers(dir)) {
-        parts.set(dir, v, layer, agent(v).partition(dir, layer));
-      }
-    }
-  }
-  return parts;
-}
-
-std::uint64_t ProtoRuntime::fingerprint() const {
-  return state_fingerprint(current_partitions(), current_schedule());
 }
 
 std::uint64_t ProtoRuntime::total_retransmits() const {

@@ -9,11 +9,17 @@
 // is how sim::HarpSimulation runs its agents) — with one ReliableEndpoint
 // per node supplying retransmission when the transport can lose packets.
 // Each operation returns the messages its exchange put on the channel.
+//
+// The runtime owns the network's one core::PartitionTable and one
+// core::Schedule. Every agent holds references to both and keeps its
+// partitions and its children's cells there (proto/agent.hpp), so the
+// converged state is read in place, never assembled.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "harp/partition_alloc.hpp"
@@ -55,6 +61,9 @@ class ProtoRuntime {
                const net::SlotframeConfig& frame, Dispatcher& d, Channel& ch,
                std::span<const net::Task> tasks = {}, int own_slack = 0,
                Options opt = Options{});
+  /// Agents hold references into the runtime's tables.
+  ProtoRuntime(const ProtoRuntime&) = delete;
+  ProtoRuntime& operator=(const ProtoRuntime&) = delete;
 
   /// Runs the static phases to quiescence (event-driven bootstrap).
   /// Throws InfeasibleError when the gateway cannot admit the demands.
@@ -81,12 +90,19 @@ class ProtoRuntime {
 
   const net::Topology& topology() const { return topo_; }
 
-  /// Assembles the global schedule from every parent's cell assignments.
-  core::Schedule current_schedule() const;
-  /// Assembles a PartitionTable view for validation against the oracle.
-  core::PartitionTable current_partitions() const;
-  /// state_fingerprint() of the two views above.
-  std::uint64_t fingerprint() const;
+  /// Throws InvalidArgument naming `op` and `node` unless `node` is in
+  /// the topology and, when `device`, is not the gateway. Every operation
+  /// above checks the ids it takes this way before it changes any state.
+  void require_node(std::string_view op, NodeId node, bool device) const;
+
+  /// The live global schedule: every parent's cell assignments.
+  const core::Schedule& current_schedule() const { return schedule_; }
+  /// The live partitions of every node.
+  const core::PartitionTable& current_partitions() const { return parts_; }
+  /// state_fingerprint() of the two tables above.
+  std::uint64_t fingerprint() const {
+    return state_fingerprint(parts_, schedule_);
+  }
 
   /// True when the dispatcher has no work and no endpoint awaits an ack.
   bool quiescent();
@@ -100,6 +116,8 @@ class ProtoRuntime {
   /// quiescence waits for the retransmit machinery to drain too) and
   /// returns the messages sent since the operation reset the stats.
   proto::MessageStats settle();
+  /// Node `v`'s configuration in the current topology, without children.
+  proto::AgentConfig agent_config(NodeId v) const;
   void add_agent(proto::AgentConfig cfg);
 
   net::Topology topo_;
@@ -108,6 +126,8 @@ class ProtoRuntime {
   Options opt_;
   Dispatcher& d_;
   Channel& ch_;
+  core::PartitionTable parts_;
+  core::Schedule schedule_;
   std::vector<std::unique_ptr<proto::HarpAgent>> agents_;
   std::vector<std::unique_ptr<ReliableEndpoint>> endpoints_;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/stats.hpp"
+
 namespace harp::runner {
 
 SummaryStats summarize(const std::vector<double>& samples) {
@@ -28,16 +30,10 @@ SummaryStats summarize(const std::vector<double>& samples) {
     s.ci95 = 1.96 * s.stddev / std::sqrt(n);
   }
 
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  const auto nearest_rank = [&](double p) {
-    const double rank = std::ceil(p / 100.0 * n);
-    const std::size_t i =
-        rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    return sorted[std::min(i, sorted.size() - 1)];
-  };
-  s.median = nearest_rank(50.0);
-  s.p95 = nearest_rank(95.0);
+  Stats dist;
+  for (double v : samples) dist.add(v);
+  s.median = dist.median();
+  s.p95 = dist.percentile(95.0);
   return s;
 }
 

@@ -18,7 +18,8 @@
 namespace harp::runner {
 
 /// Summary of one sample vector. stddev is the sample (n-1) standard
-/// deviation; median/p95 are nearest-rank; ci95 is the half-width of the
+/// deviation; median/p95 are harp::Stats percentiles (linear
+/// interpolation between closest ranks); ci95 is the half-width of the
 /// normal-approximation 95% confidence interval for the mean
 /// (1.96 * stddev / sqrt(n); 0 for a single sample).
 struct SummaryStats {

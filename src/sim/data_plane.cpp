@@ -242,8 +242,10 @@ void DataPlane::generate(AbsoluteSlot t) {
   }
 }
 
-void DataPlane::enqueue(std::deque<Packet>& queue, Packet pkt, NodeId at,
-                        Direction dir) {
+// `at` and `dir` only feed trace events (unused under HARP_OBS=OFF).
+void DataPlane::enqueue(std::deque<Packet>& queue, Packet pkt,
+                        [[maybe_unused]] NodeId at,
+                        [[maybe_unused]] Direction dir) {
   if (queue.size() >= config_.queue_capacity) {
     metrics_.on_dropped(pkt.source);
     obs_.dropped->inc();
@@ -378,8 +380,10 @@ void DataPlane::transmit(AbsoluteSlot t) {
 
   for (const Active& a : active_) {
     obs_.tx_attempts->inc();
-    const auto dir_aux = static_cast<std::uint8_t>(a.entry->dir);
-    const auto channel = static_cast<std::uint16_t>(a.entry->cell.channel);
+    [[maybe_unused]] const auto dir_aux =
+        static_cast<std::uint8_t>(a.entry->dir);
+    [[maybe_unused]] const auto channel =
+        static_cast<std::uint16_t>(a.entry->cell.channel);
     const bool collided = cell_count_[cell_index(a.entry->cell)] > 1 ||
                           node_count_[a.sender] > 1 ||
                           node_count_[a.receiver] > 1;

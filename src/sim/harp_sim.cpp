@@ -91,6 +91,7 @@ void HarpSimulation::run_frames(AbsoluteSlot frames) {
 MgmtPlane::Summary HarpSimulation::change_link_demand(
     NodeId child, Direction dir, int cells, AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
+  runtime_.require_node("change_link_demand", child, true);
   mgmt_.clear_log();
   settle(timeout_frames, [&] { runtime_.change_demand(child, dir, cells); });
   return mgmt_.summarize(topology());
@@ -100,6 +101,7 @@ HarpSimulation::JoinResult HarpSimulation::join_node(
     NodeId parent, int up_cells, int down_cells,
     std::uint32_t echo_period_slots, AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
+  runtime_.require_node("join_node", parent, false);
   const std::uint32_t rm_period =
       echo_period_slots > 0 ? echo_period_slots : ~0u;
   mgmt_.clear_log();
@@ -119,7 +121,7 @@ HarpSimulation::JoinResult HarpSimulation::join_node(
 MgmtPlane::Summary HarpSimulation::leave_node(NodeId leaf,
                                               AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
-  HARP_ASSERT(leaf != net::Topology::gateway() && leaf < topology().size());
+  runtime_.require_node("leave_node", leaf, true);
   std::erase_if(tasks_,
                 [&](const net::Task& t) { return t.source == leaf; });
   data_.remove_tasks_from(leaf);
@@ -131,6 +133,8 @@ MgmtPlane::Summary HarpSimulation::leave_node(NodeId leaf,
 MgmtPlane::Summary HarpSimulation::roam_node(NodeId leaf, NodeId new_parent,
                                              AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
+  runtime_.require_node("roam_node", leaf, true);
+  runtime_.require_node("roam_node", new_parent, false);
   mgmt_.clear_log();
   settle(timeout_frames, [&] { runtime_.roam_node(leaf, new_parent); });
   return mgmt_.summarize(topology());

@@ -98,8 +98,8 @@ class HarpSimulation {
     return static_cast<double>(now_) * options_.frame.slot_seconds;
   }
 
-  /// Assembles the current global schedule from every parent agent.
-  core::Schedule current_schedule() const {
+  /// The live global schedule: every parent agent's cell assignments.
+  const core::Schedule& current_schedule() const {
     return runtime_.current_schedule();
   }
 

@@ -216,6 +216,7 @@ TEST(AuditQueues, ConservationHoldsAndLeaksAreCaught) {
 
 #ifndef HARP_ASSERT_ABORT
 TEST(AuditFail, ThrowsAndEmitsTraceEvent) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   auto& sink = obs::TraceSink::global();
   sink.enable(16);
   EXPECT_THROW(fail("audit.test_check", "seeded violation", 7), Error);

@@ -4,6 +4,10 @@
 // management-plane timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "harp/engine.hpp"
@@ -239,7 +243,121 @@ TEST(AgentDynamics, FuzzedMixedDynamicsMatchEngine) {
   }
 }
 
+/// The agents share the runtime's tables, each writing only its own
+/// partition rows and its current children's cell rows. Checks that every
+/// non-empty cell row is a link of a current child and lies inside its
+/// topology parent's own-layer partition, and that departed nodes keep no
+/// row of either table.
+void expect_rows_owned(const rt::ProtoRuntime& network,
+                       const std::vector<NodeId>& departed,
+                       const std::string& when) {
+  const net::Topology& topo = network.topology();
+  const core::Schedule& sched = network.current_schedule();
+  const core::PartitionTable& parts = network.current_partitions();
+  ASSERT_EQ(sched.num_nodes(), topo.size()) << when;
+  ASSERT_EQ(parts.num_nodes(), topo.size()) << when;
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    EXPECT_TRUE(sched.cells(net::Topology::gateway(), dir).empty()) << when;
+    for (NodeId v = 1; v < topo.size(); ++v) {
+      const std::vector<Cell>& cells = sched.cells(v, dir);
+      if (std::find(departed.begin(), departed.end(), v) != departed.end()) {
+        EXPECT_TRUE(cells.empty()) << when << ": departed " << v;
+        EXPECT_TRUE(parts.of(dir, v).empty()) << when << ": departed " << v;
+        continue;
+      }
+      if (cells.empty()) continue;
+      const NodeId parent = topo.parent(v);
+      EXPECT_NO_THROW(network.agent(parent).child_demand(v, dir))
+          << when << ": " << v << " holds cells but is no child of "
+          << parent;
+      const core::Partition own =
+          parts.get(dir, parent, topo.link_layer(parent));
+      for (const Cell& c : cells) {
+        EXPECT_TRUE(own.contains(c))
+            << when << ": cell of link " << v << " outside " << parent
+            << "'s partition";
+      }
+    }
+  }
+}
+
+TEST(AgentDynamics, SharedTableRowsStayWithTheirOwnersThroughChurn) {
+  const Net n = echo_net(net::testbed_tree());
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
+  network.bootstrap();
+  std::vector<NodeId> departed;
+  expect_rows_owned(network, departed, "bootstrap");
+
+  Rng rng(2024);
+  const auto churn = [&](const std::string& phase) {
+    for (int i = 0; i < 8; ++i) {
+      NodeId child = kNoNode;
+      while (child == kNoNode ||
+             std::find(departed.begin(), departed.end(), child) !=
+                 departed.end()) {
+        child = 1 + static_cast<NodeId>(
+                        rng.below(network.topology().size() - 1));
+      }
+      const Direction dir =
+          rng.chance(0.5) ? Direction::kUp : Direction::kDown;
+      network.change_demand(child, dir, static_cast<int>(rng.between(0, 3)));
+      expect_rows_owned(network, departed,
+                        phase + " churn " + std::to_string(i));
+    }
+  };
+
+  // A joined device that itself becomes a parent holds partitions of its
+  // own; after its child leaves it keeps that reservation (Sec. V) until
+  // it roams, when rehome must drop every one of its rows.
+  const NodeId relay = network.join_node(15, 1, 1).node;
+  expect_rows_owned(network, departed, "join relay");
+  const NodeId leaf = network.join_node(relay, 1, 1).node;
+  expect_rows_owned(network, departed, "join leaf");
+  EXPECT_FALSE(network.current_partitions().of(Direction::kUp, relay).empty());
+  churn("joined");
+
+  network.leave_node(leaf);
+  departed.push_back(leaf);
+  expect_rows_owned(network, departed, "leave leaf");
+  EXPECT_FALSE(network.current_partitions().of(Direction::kUp, relay).empty());
+
+  network.change_demand(relay, Direction::kUp, 2);
+  network.roam_node(relay, 16);
+  expect_rows_owned(network, departed, "roam relay");
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    EXPECT_TRUE(network.current_partitions().of(dir, relay).empty());
+  }
+  EXPECT_FALSE(
+      network.current_schedule().cells(relay, Direction::kUp).empty());
+  churn("roamed");
+
+  network.leave_node(relay);
+  departed.push_back(relay);
+  expect_rows_owned(network, departed, "leave relay");
+  churn("left");
+}
+
 // ------------------------------------------------------------ simulation
+
+TEST(SimDynamics, UnknownNodeIdsLeaveTheSimulationUntouched) {
+  const auto topo = net::testbed_tree();
+  sim::HarpSimulation sim(topo, net::uniform_echo_tasks(topo, 398),
+                          {frame()});
+  sim.bootstrap();
+  sim.run_frames(2);
+  const core::Schedule before = sim.current_schedule();
+  const std::size_t log = sim.mgmt().log().size();
+  const AbsoluteSlot now = sim.now();
+  EXPECT_THROW(sim.change_link_demand(9999, Direction::kUp, 3),
+               InvalidArgument);
+  EXPECT_THROW(sim.join_node(9999, 1, 1), InvalidArgument);
+  EXPECT_THROW(sim.leave_node(9999), InvalidArgument);
+  EXPECT_THROW(sim.roam_node(49, 9999), InvalidArgument);
+  EXPECT_EQ(sim.current_schedule(), before);
+  EXPECT_EQ(sim.mgmt().log().size(), log);
+  EXPECT_EQ(sim.now(), now);
+  EXPECT_EQ(sim.topology().size(), topo.size());
+}
 
 TEST(SimDynamics, JoinStartsTraffic) {
   const auto topo = net::testbed_tree();

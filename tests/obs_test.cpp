@@ -112,6 +112,7 @@ TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrations) {
 // ------------------------------------------------------------ trace ring
 
 TEST(TraceSink, RingWraparoundKeepsNewestOldestFirst) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   TraceSink sink;
   sink.enable(4);
   for (std::uint64_t i = 0; i < 6; ++i) {
@@ -149,6 +150,7 @@ TEST(TraceSink, DisabledEmitAllocatesNothing) {
 }
 
 TEST(TraceSink, EnabledEmitAllocatesNothing) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   TraceSink sink;
   sink.enable(16);  // preallocates here, not in emit
   const std::size_t before = g_live_allocs.load();
@@ -388,6 +390,7 @@ TEST(Json, RegistrySnapshotParsesAndMatches) {
 }
 
 TEST(TraceSink, JsonlLinesParse) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   TraceSink sink;
   sink.enable(16);
   const std::uint16_t phase = sink.register_phase("harp.test.phase_ns");
@@ -439,6 +442,7 @@ std::string render_one(const TraceEvent& e) {
 }
 
 TEST(TraceAux, AdjustKindNamesPinnedToCoreEnum) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   using harp::core::AdjustmentKind;
   const struct {
     AdjustmentKind kind;
@@ -462,6 +466,7 @@ TEST(TraceAux, AdjustKindNamesPinnedToCoreEnum) {
 }
 
 TEST(TraceAux, MsgTypeNamesPinnedToProtoEnum) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   using harp::proto::MsgType;
   const struct {
     MsgType type;
@@ -484,6 +489,7 @@ TEST(TraceAux, MsgTypeNamesPinnedToProtoEnum) {
 }
 
 TEST(TraceAux, AuditFailRendersCheckNameAndNode) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   TraceSink sink;
   sink.enable(2);
   const std::uint16_t check = sink.register_phase("engine.bootstrap");
@@ -498,6 +504,7 @@ TEST(TraceAux, AuditFailRendersCheckNameAndNode) {
 }
 
 TEST(TraceAux, DirectionNamesPinnedToCommonEnum) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
   EXPECT_EQ(static_cast<int>(harp::Direction::kUp), 0);
   EXPECT_EQ(static_cast<int>(harp::Direction::kDown), 1);
   const std::string up = render_one(

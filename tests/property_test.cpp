@@ -199,9 +199,16 @@ struct NullTransport : proto::Transport {
   void send(proto::Message) override {}
 };
 
+/// The network tables a lone agent borrows (rows for nodes 0..9).
+struct Tables {
+  core::PartitionTable parts{10};
+  core::Schedule schedule{10};
+};
+
 TEST(AgentEdges, DuplicateAddChildThrows) {
   auto cfg = leaf_config(5, 1);
-  proto::HarpAgent agent(cfg);
+  Tables tables;
+  proto::HarpAgent agent(cfg, tables.parts, tables.schedule);
   NullTransport t;
   agent.start(t);
   agent.add_child({9, true, 0, 0, ~0u, ~0u}, t);
@@ -210,14 +217,16 @@ TEST(AgentEdges, DuplicateAddChildThrows) {
 }
 
 TEST(AgentEdges, RemoveUnknownChildThrows) {
-  proto::HarpAgent agent(leaf_config(5, 1));
+  Tables tables;
+  proto::HarpAgent agent(leaf_config(5, 1), tables.parts, tables.schedule);
   NullTransport t;
   agent.start(t);
   EXPECT_THROW(agent.remove_child(77, t), InvalidArgument);
 }
 
 TEST(AgentEdges, NonLeafJoinAndRelayRoamRejected) {
-  proto::HarpAgent agent(leaf_config(5, 1));
+  Tables tables;
+  proto::HarpAgent agent(leaf_config(5, 1), tables.parts, tables.schedule);
   NullTransport t;
   agent.start(t);
   EXPECT_THROW(agent.add_child({9, /*is_leaf=*/false, 0, 0, ~0u, ~0u}, t),
@@ -228,7 +237,9 @@ TEST(AgentEdges, NonLeafJoinAndRelayRoamRejected) {
 
 TEST(AgentEdges, AgentNeedsValidId) {
   proto::AgentConfig cfg;
-  EXPECT_THROW(proto::HarpAgent{cfg}, InvalidArgument);
+  Tables tables;
+  EXPECT_THROW((proto::HarpAgent{cfg, tables.parts, tables.schedule}),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------- codec edges

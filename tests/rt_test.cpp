@@ -7,11 +7,14 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "harp/engine.hpp"
 #include "harp/schedule.hpp"
@@ -239,6 +242,68 @@ TEST(RtRuntime, DynamicsMatchLockstepAcrossOperations) {
 
   runtime.leave_node(joined);
   EXPECT_EQ(runtime.fingerprint(), 0x49d2c07500daae52ULL);
+}
+
+TEST(RtRuntime, UnknownNodeIdsAreRejectedBeforeAnyStateChange) {
+  const Net n = echo_net(net::fig1_tree());
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
+  network.bootstrap();
+  const std::uint64_t before = network.fingerprint();
+  const std::size_t nodes = network.topology().size();
+  const std::pair<std::function<void()>, std::string> cases[] = {
+      {[&] { network.change_demand(9999, Direction::kUp, 3); },
+       "change_demand: unknown node 9999"},
+      {[&] { network.change_demand(0, Direction::kUp, 3); },
+       "change_demand: gateway node 0"},
+      {[&] { network.join_node(9999, 1, 1); }, "join_node: unknown node 9999"},
+      {[&] { network.leave_node(9999); }, "leave_node: unknown node 9999"},
+      {[&] { network.roam_node(9999, 1); }, "roam_node: unknown node 9999"},
+      {[&] { network.roam_node(9, 9999); }, "roam_node: unknown node 9999"},
+      {[&] { network.roam_node(9, 9); },
+       "reparenting under own subtree would form a cycle"},
+  };
+  for (const auto& [call, message] : cases) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+    EXPECT_EQ(network.fingerprint(), before) << message;
+    EXPECT_EQ(network.topology().size(), nodes) << message;
+    EXPECT_TRUE(network.quiescent()) << message;
+  }
+}
+
+// perf_rt_dispatch's runtime round. The bench folds this round's
+// fingerprint after its task and timer section checksums (which involve
+// no agent) into the "fingerprint" of BENCH_rt_dispatch.json.
+TEST(RtRuntime, DispatchBenchChurnRoundFingerprintIsPinned) {
+  const Net n = echo_net(net::testbed_tree());
+  constexpr std::uint64_t kSeed = 7;
+  rt::Dispatcher d(kSeed);
+  rt::LoopbackChannel ch(d);
+  rt::RuntimeOptions opt;
+  opt.arq.enabled = true;
+  rt::ProtoRuntime runtime(n.topo, n.traffic, frame(), d, ch, n.tasks, 0,
+                           opt);
+  runtime.bootstrap();
+  Rng churn(derive_seed(kSeed, 2));
+  for (int i = 0; i < 96; ++i) {
+    const NodeId child =
+        1 + static_cast<NodeId>(churn.below(n.topo.size() - 1));
+    const Direction dir =
+        churn.chance(0.5) ? Direction::kUp : Direction::kDown;
+    runtime.change_demand(child, dir, 1 + static_cast<int>(churn.below(3)));
+  }
+  EXPECT_EQ(runtime.total_retransmits(), 0u);
+  EXPECT_TRUE(runtime.quiescent());
+  EXPECT_EQ(runtime.fingerprint(), 0x38b9e5a025ee4928ULL);
+  std::uint64_t bench_fp = kFnvOffset;
+  bench_fp = fnv1a_value(bench_fp, std::uint64_t{0xe63d73e6a39fcaa5ULL});
+  bench_fp = fnv1a_value(bench_fp, std::uint64_t{0xd27fd470e0f866d4ULL});
+  bench_fp = fnv1a_value(bench_fp, runtime.fingerprint());
+  EXPECT_EQ(bench_fp, 0x4e0f8d8479a347f7ULL);
 }
 
 // ----------------------------------------------------- lossy + recovery
