@@ -1,5 +1,7 @@
 // RingQueue: a growable power-of-two ring buffer — the FIFO under the rt
-// dispatcher's ready queue (docs/PERFORMANCE.md hot path 6).
+// dispatcher's ready queue (docs/PERFORMANCE.md hot path 6), the fleet
+// shards' op queues and the simulator data plane's per-node packet
+// queues.
 //
 // std::deque pays a chunk map indirection per access and allocates/frees
 // chunks as the queue breathes; for a queue that cycles millions of
@@ -53,6 +55,32 @@ class RingQueue {
   T& front() {
     HARP_ASSERT(head_ != tail_);
     return buf_[head_ & mask_];
+  }
+
+  /// Removes every element matching `pred`, keeping the survivors in
+  /// their FIFO order; returns how many were removed. O(size()).
+  template <typename Pred>
+  std::size_t erase_if(Pred pred) {
+    std::size_t keep = head_;
+    for (std::size_t i = head_; i != tail_; ++i) {
+      T& value = buf_[i & mask_];
+      if (pred(static_cast<const T&>(value))) continue;
+      if (keep != i) buf_[keep & mask_] = std::move(value);
+      ++keep;
+    }
+    const std::size_t removed = tail_ - keep;
+    while (tail_ != keep) {
+      --tail_;
+      T drop = std::move(buf_[tail_ & mask_]);
+      static_cast<void>(drop);  // removed or moved-from: released here
+    }
+    return removed;
+  }
+
+  /// Calls `fn(const T&)` on every element, oldest first.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = head_; i != tail_; ++i) fn(buf_[i & mask_]);
   }
 
   /// O(1) buffer exchange — the swap-batch idiom: a consumer swaps a

@@ -17,16 +17,19 @@ const std::vector<Cell>& Schedule::cells(NodeId child, Direction dir) const {
 void Schedule::set_cells(NodeId child, Direction dir, std::vector<Cell> cells) {
   HARP_ASSERT(child < num_nodes());
   table(dir)[child] = std::move(cells);
+  ++version_;
 }
 
 void Schedule::add_cell(NodeId child, Direction dir, Cell cell) {
   HARP_ASSERT(child < num_nodes());
   table(dir)[child].push_back(cell);
+  ++version_;
 }
 
 void Schedule::clear_link(NodeId child, Direction dir) {
   HARP_ASSERT(child < num_nodes());
   table(dir)[child].clear();
+  ++version_;
 }
 
 std::size_t Schedule::total_cells() const {

@@ -35,10 +35,29 @@ class Schedule {
     if (num_nodes > up_.size()) {
       up_.resize(num_nodes);
       down_.resize(num_nodes);
+      ++version_;
     }
   }
 
+  /// Mutation counter: every set_cells/add_cell/clear_link and every
+  /// growing resize bumps it, so a consumer that copied the table (the
+  /// simulator's data plane) can tell "unchanged since I installed it"
+  /// with one compare. Copies carry the source's version; it is not part
+  /// of equality.
+  std::uint64_t version() const { return version_; }
+
   const std::vector<Cell>& cells(NodeId child, Direction dir) const;
+
+  /// Calls fn(child, dir, cell) for every assigned cell: child-major,
+  /// uplink before downlink, each link's cells in their stored order.
+  template <typename Fn>
+  void for_each_cell(Fn&& fn) const {
+    for (std::size_t child = 0; child < up_.size(); ++child) {
+      const auto id = static_cast<NodeId>(child);
+      for (const Cell c : up_[child]) fn(id, Direction::kUp, c);
+      for (const Cell c : down_[child]) fn(id, Direction::kDown, c);
+    }
+  }
 
   /// Replaces the cell set of one link.
   void set_cells(NodeId child, Direction dir, std::vector<Cell> cells);
@@ -48,13 +67,16 @@ class Schedule {
   /// Total number of assigned cells.
   std::size_t total_cells() const;
 
-  /// Deep equality (cell-for-cell, order included); used by the audit
-  /// layer's rollback checks.
-  friend bool operator==(const Schedule&, const Schedule&) = default;
+  /// Deep equality (cell-for-cell, order included; the version is not
+  /// compared); used by the audit layer's rollback checks.
+  friend bool operator==(const Schedule& a, const Schedule& b) {
+    return a.up_ == b.up_ && a.down_ == b.down_;
+  }
 
  private:
   std::vector<std::vector<Cell>> up_;    // indexed by child node
   std::vector<std::vector<Cell>> down_;
+  std::uint64_t version_{0};
   std::vector<std::vector<Cell>>& table(Direction dir) {
     return dir == Direction::kUp ? up_ : down_;
   }

@@ -7,11 +7,6 @@
 
 namespace harp::net {
 
-NodeId Topology::parent(NodeId node) const {
-  HARP_ASSERT(node < parent_.size());
-  return parent_[node];
-}
-
 const std::vector<NodeId>& Topology::children(NodeId node) const {
   HARP_ASSERT(node < children_.size());
   return children_[node];
@@ -59,15 +54,6 @@ NodeId Topology::ancestor_at_layer(NodeId node, int layer) const {
   HARP_ASSERT(node < size());
   if (layer < 0 || layer > layer_[node]) return kNoNode;
   return anc_flat_[anc_off_[node] + static_cast<std::uint32_t>(layer)];
-}
-
-NodeId Topology::next_hop_toward(NodeId from, NodeId descendant) const {
-  HARP_ASSERT(from < size() && descendant < size());
-  const int fl = layer_[from];
-  if (layer_[descendant] <= fl) return kNoNode;
-  const std::uint32_t row = anc_off_[descendant];
-  if (anc_flat_[row + static_cast<std::uint32_t>(fl)] != from) return kNoNode;
-  return anc_flat_[row + static_cast<std::uint32_t>(fl) + 1];
 }
 
 std::vector<NodeId> Topology::path_to_gateway(NodeId node) const {

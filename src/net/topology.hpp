@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace harp::net {
@@ -34,8 +35,12 @@ class Topology {
 
   static constexpr NodeId gateway() { return 0; }
 
-  /// Parent of `node`; kNoNode for the gateway.
-  NodeId parent(NodeId node) const;
+  /// Parent of `node`; kNoNode for the gateway. Inline: the simulator's
+  /// slot loop asks it once per scheduled cell.
+  NodeId parent(NodeId node) const {
+    HARP_ASSERT(node < parent_.size());
+    return parent_[node];
+  }
 
   /// Children of `node` in insertion order.
   const std::vector<NodeId>& children(NodeId node) const;
@@ -74,8 +79,17 @@ class Topology {
 
   /// The child of `from` on the tree path down to `descendant`, or
   /// kNoNode when `from` is not a proper ancestor of `descendant`
-  /// (e.g. the destination roamed away). O(1) downlink routing.
-  NodeId next_hop_toward(NodeId from, NodeId descendant) const;
+  /// (e.g. the destination roamed away). O(1) downlink routing, inline
+  /// for the simulator's per-packet forwarding.
+  NodeId next_hop_toward(NodeId from, NodeId descendant) const {
+    HARP_ASSERT(from < size() && descendant < size());
+    const int fl = layer_[from];
+    if (layer_[descendant] <= fl) return kNoNode;
+    const std::uint32_t row =
+        anc_off_[descendant] + static_cast<std::uint32_t>(fl);
+    if (anc_flat_[row] != from) return kNoNode;
+    return anc_flat_[row + 1];
+  }
 
   /// Deepest link layer of the whole tree, l(G).
   int depth() const { return depth_; }

@@ -13,6 +13,9 @@
 //   HARP_OBS_EVENT({.type = obs::EventType::kCollision, ...});
 //     — records one typed trace event into the current context's
 //       TraceSink (one branch while the sink is disabled).
+//   HARP_OBS_EVENT_TO(sink, {...});
+//     — the same into a sink the caller resolved once (a hot loop binds
+//       TraceSink::global() before it starts instead of per event).
 //
 // Counters/gauges are not macro-gated: instrumented classes resolve them
 // once via obs::MetricsRegistry::global() at construction and bump them
@@ -99,11 +102,17 @@ class ScopedTimer {
 /// Records one trace event; the argument is a braced TraceEvent
 /// initializer. Not evaluated under HARP_OBS=OFF.
 #define HARP_OBS_EVENT(...) \
-  ::harp::obs::TraceSink::global().emit(::harp::obs::TraceEvent __VA_ARGS__)
+  HARP_OBS_EVENT_TO(::harp::obs::TraceSink::global(), __VA_ARGS__)
+
+/// Records one trace event into `sink` (a TraceSink lvalue). Neither
+/// argument is evaluated under HARP_OBS=OFF.
+#define HARP_OBS_EVENT_TO(sink, ...) \
+  (sink).emit(::harp::obs::TraceEvent __VA_ARGS__)
 
 #else
 
 #define HARP_OBS_SCOPE(name) ((void)0)
 #define HARP_OBS_EVENT(...) ((void)0)
+#define HARP_OBS_EVENT_TO(sink, ...) ((void)0)
 
 #endif  // HARP_OBS_ENABLED

@@ -33,16 +33,12 @@ std::uint64_t state_fingerprint(const core::PartitionTable& parts,
     }
   }
   h = fnv1a_u64(h, sched.total_cells());
-  for (NodeId child = 0; child < sched.num_nodes(); ++child) {
-    for (Direction dir : {Direction::kUp, Direction::kDown}) {
-      for (const Cell& cell : sched.cells(child, dir)) {
-        h = fnv1a_u64(h, child);
-        h = fnv1a_u64(h, dir == Direction::kUp ? 0 : 1);
-        h = fnv1a_u64(h, cell.slot);
-        h = fnv1a_u64(h, cell.channel);
-      }
-    }
-  }
+  sched.for_each_cell([&h](NodeId child, Direction dir, Cell cell) {
+    h = fnv1a_u64(h, child);
+    h = fnv1a_u64(h, dir == Direction::kUp ? 0 : 1);
+    h = fnv1a_u64(h, cell.slot);
+    h = fnv1a_u64(h, cell.channel);
+  });
   return h;
 }
 
@@ -116,6 +112,12 @@ void ProtoRuntime::require_node(std::string_view op, NodeId node,
                         std::to_string(node));
 }
 
+void ProtoRuntime::require_demand(std::string_view op, int cells) {
+  if (cells >= 0) return;
+  throw InvalidArgument(std::string(op) + ": negative demand " +
+                        std::to_string(cells));
+}
+
 proto::MessageStats ProtoRuntime::settle() {
   d_.run_until_idle(opt_.max_events);
   return ch_.stats();
@@ -147,6 +149,7 @@ proto::MessageStats ProtoRuntime::bootstrap() {
 proto::MessageStats ProtoRuntime::change_demand(NodeId child, Direction dir,
                                                 int cells) {
   require_node("change_demand", child, true);
+  require_demand("change_demand", cells);
   const NodeId parent = topo_.parent(child);
   ch_.reset_stats();
   d_.post([this, parent, child, dir, cells] {
@@ -159,6 +162,8 @@ ProtoRuntime::JoinResult ProtoRuntime::join_node(NodeId parent, int up_cells,
                                                  int down_cells,
                                                  std::uint32_t rm_period) {
   require_node("join_node", parent, false);
+  require_demand("join_node", up_cells);
+  require_demand("join_node", down_cells);
   topo_ = topo_.with_leaf(parent);
   const NodeId node = static_cast<NodeId>(topo_.size() - 1);
   parts_.resize(topo_.size());

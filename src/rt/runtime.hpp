@@ -94,6 +94,9 @@ class ProtoRuntime {
   /// the topology and, when `device`, is not the gateway. Every operation
   /// above checks the ids it takes this way before it changes any state.
   void require_node(std::string_view op, NodeId node, bool device) const;
+  /// Throws InvalidArgument naming `op` unless `cells` is a valid link
+  /// demand (not negative), in the same before-any-state-change way.
+  static void require_demand(std::string_view op, int cells);
 
   /// The live global schedule: every parent's cell assignments.
   const core::Schedule& current_schedule() const { return schedule_; }

@@ -13,10 +13,19 @@ std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
   return fnv1a(h, s.data(), s.size());
 }
 
-/// Deterministic digest of a registry: counters and gauges only, by
-/// sorted name, serialized exactly (JSON dump preserves integer kinds).
+/// Work counters count what the implementation computed, not what the
+/// trial simulated: they fall whenever a hot path gets cheaper, so they
+/// stay out of the behaviour fingerprint (docs/RUNNER.md).
+bool is_work_counter(const std::string& name) {
+  return name == "harp.sim.schedule_installs";
+}
+
+/// Deterministic digest of a registry: counters (work counters excepted)
+/// and gauges only, by sorted name, serialized exactly (JSON dump
+/// preserves integer kinds).
 std::uint64_t hash_metrics(std::uint64_t h, const obs::MetricsRegistry& reg) {
   for (const std::string& name : reg.names()) {
+    if (is_work_counter(name)) continue;
     if (const obs::Counter* c = reg.find_counter(name)) {
       h = hash_string(h, name);
       h = hash_string(h, obs::Json(c->value()).dump_string(0));

@@ -30,7 +30,7 @@ DataPlane::DataPlane(const net::Topology& topo, std::vector<net::Task> tasks,
       metrics_(topo.size()),
       up_queue_(topo.size()),
       down_queue_(topo.size()),
-      by_slot_(config.frame.length) {
+      slot_begin_(static_cast<std::size_t>(config.frame.length) + 1, 0) {
   config_.frame.validate();
   if (config_.pdr < 0.0 || config_.pdr > 1.0) {
     throw InvalidArgument("pdr must be in [0,1]");
@@ -57,10 +57,10 @@ DataPlane::DataPlane(const net::Topology& topo, std::vector<net::Task> tasks,
 
 void DataPlane::reindex_tasks() {
   index_by_id_.clear();
-  index_by_seq_.clear();
+  index_by_seq_.assign(next_task_seq_, kNoTask);
   for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
     index_by_id_.emplace(tasks_[i].spec.id, i);  // first insertion wins
-    index_by_seq_.emplace(tasks_[i].seq, i);
+    index_by_seq_[tasks_[i].seq] = i;
   }
 }
 
@@ -70,36 +70,63 @@ const net::Task* DataPlane::find_spec(TaskId task) const {
 }
 
 void DataPlane::set_schedule(const core::Schedule& schedule) {
-  for (auto& v : by_slot_) v.clear();
-  // Child-major, uplink before downlink: the per-slot entry order the
-  // transmit loop (and so every pinned digest) depends on.
-  for (NodeId child = 0; child < schedule.num_nodes(); ++child) {
-    for (const Direction dir : {Direction::kUp, Direction::kDown}) {
-      for (const Cell c : schedule.cells(child, dir)) {
-        HARP_ASSERT(c.slot < config_.frame.length);
-        HARP_ASSERT(c.channel < config_.frame.num_channels);
-        by_slot_[c.slot].push_back({child, dir, c});
-      }
-    }
+  // Counting sort into the CSR table: count each slot's entries at
+  // slot_begin_[slot + 1], prefix-sum into begin offsets, then place the
+  // entries with slot_begin_[slot] as the cursor (which leaves each
+  // offset at its slot's end) and shift the offsets back. The fill walks
+  // child-major, uplink before downlink, and the sort is stable, so each
+  // slot keeps that order.
+  std::fill(slot_begin_.begin(), slot_begin_.end(), 0);
+  schedule.for_each_cell([this](NodeId, Direction, Cell c) {
+    HARP_ASSERT(c.slot < config_.frame.length);
+    HARP_ASSERT(c.channel < config_.frame.num_channels);
+    ++slot_begin_[c.slot + 1];
+  });
+  for (std::size_t s = 1; s < slot_begin_.size(); ++s) {
+    slot_begin_[s] += slot_begin_[s - 1];
   }
+  slot_entries_.resize(slot_begin_.back());
+  schedule.for_each_cell([this](NodeId child, Direction dir, Cell c) {
+    slot_entries_[slot_begin_[c.slot]++] = {child, c.channel, dir};
+  });
+  for (std::size_t s = slot_begin_.size() - 1; s > 0; --s) {
+    slot_begin_[s] = slot_begin_[s - 1];
+  }
+  slot_begin_[0] = 0;
+}
+
+void DataPlane::flush_tally(AbsoluteSlot slots) {
+  obs_.slots->inc(slots);
+  obs_.generated->inc(tally_.generated);
+  obs_.delivered->inc(tally_.delivered);
+  obs_.dropped->inc(tally_.dropped);
+  obs_.deadline_misses->inc(tally_.deadline_misses);
+  obs_.tx_attempts->inc(tally_.tx_attempts);
+  obs_.tx_success->inc(tally_.tx_success);
+  obs_.collisions->inc(tally_.collisions);
+  obs_.link_loss->inc(tally_.link_loss);
+  tally_ = {};
 }
 
 void DataPlane::run_slots(AbsoluteSlot n) {
-  obs_.slots->inc(n);
+  trace_ = &obs::TraceSink::global();
+  // The slot-in-frame steps along with now_: one division per call.
+  SlotId slot = static_cast<SlotId>(now_ % config_.frame.length);
   for (AbsoluteSlot i = 0; i < n; ++i) {
-    HARP_OBS_EVENT({.type = obs::EventType::kSlotTick, .slot = now_});
-    generate(now_);
-    transmit(now_);
+    HARP_OBS_EVENT_TO(*trace_,
+                      {.type = obs::EventType::kSlotTick, .slot = now_});
+    if (!calendar_.empty() && calendar_.top().at <= now_) generate(now_);
+    transmit(now_, slot);
     ++now_;
-#if HARP_AUDIT_ENABLED
-    if (now_ % config_.frame.length == 0) {
+    if (++slot == config_.frame.length) {
+      slot = 0;
       HARP_AUDIT("sim.queue_conservation",
                  audit::check_queue_conservation(audit_generated_,
                                                  audit_delivered_,
                                                  audit_dropped_, backlog()));
     }
-#endif
   }
+  flush_tally(n);
 }
 
 void DataPlane::resize_for_topology() {
@@ -124,7 +151,7 @@ void DataPlane::add_task(net::Task task) {
   const std::uint32_t index = static_cast<std::uint32_t>(tasks_.size());
   tasks_.push_back({task, release, next_task_seq_++});
   index_by_id_.emplace(tasks_.back().spec.id, index);  // first wins
-  index_by_seq_.emplace(tasks_.back().seq, index);
+  index_by_seq_.push_back(index);  // at position seq: seqs are dense
   calendar_.push({release, tasks_.back().seq});
 }
 
@@ -143,15 +170,11 @@ void DataPlane::remove_tasks_from(NodeId node) {
   const auto gone = [&](const Packet& p) {
     return std::binary_search(removed.begin(), removed.end(), p.task);
   };
-  for (auto& q : up_queue_) {
-    HARP_AUDIT_ONLY(audit_dropped_ += static_cast<std::uint64_t>(
-                        std::count_if(q.begin(), q.end(), gone));)
-    std::erase_if(q, gone);
-  }
-  for (auto& q : down_queue_) {
-    HARP_AUDIT_ONLY(audit_dropped_ += static_cast<std::uint64_t>(
-                        std::count_if(q.begin(), q.end(), gone));)
-    std::erase_if(q, gone);
+  for (auto* queues : {&up_queue_, &down_queue_}) {
+    for (auto& q : *queues) {
+      [[maybe_unused]] const std::size_t purged = q.erase_if(gone);
+      HARP_AUDIT_ONLY(audit_dropped_ += purged;)
+    }
   }
 }
 
@@ -204,16 +227,9 @@ std::size_t DataPlane::backlog() const {
 
 std::size_t DataPlane::backlog_of_task(TaskId task) const {
   std::size_t total = 0;
-  for (const auto& q : up_queue_) {
-    total += static_cast<std::size_t>(
-        std::count_if(q.begin(), q.end(),
-                      [&](const Packet& p) { return p.task == task; }));
-  }
-  for (const auto& q : down_queue_) {
-    total += static_cast<std::size_t>(
-        std::count_if(q.begin(), q.end(),
-                      [&](const Packet& p) { return p.task == task; }));
-  }
+  const auto count = [&](const Packet& p) { total += p.task == task; };
+  for (const auto& q : up_queue_) q.for_each(count);
+  for (const auto& q : down_queue_) q.for_each(count);
   return total;
 }
 
@@ -224,13 +240,13 @@ void DataPlane::generate(AbsoluteSlot t) {
   while (!calendar_.empty() && calendar_.top().at <= t) {
     const Release r = calendar_.top();
     calendar_.pop();
-    const auto it = index_by_seq_.find(r.seq);
-    if (it == index_by_seq_.end()) continue;  // task removed; stale entry
-    TaskState& task = tasks_[it->second];
+    const std::uint32_t index = index_by_seq_[r.seq];
+    if (index == kNoTask) continue;  // task removed; stale entry
+    TaskState& task = tasks_[index];
     if (task.next_release != r.at) continue;  // rescheduled; stale entry
     if (r.at == t) {
       metrics_.on_generated(task.spec.source);
-      obs_.generated->inc();
+      ++tally_.generated;
       HARP_AUDIT_ONLY(++audit_generated_;)
       enqueue(up_queue_[task.spec.source],
               Packet{task.spec.id, task.spec.source,
@@ -243,24 +259,24 @@ void DataPlane::generate(AbsoluteSlot t) {
 }
 
 // `at` and `dir` only feed trace events (unused under HARP_OBS=OFF).
-void DataPlane::enqueue(std::deque<Packet>& queue, Packet pkt,
+void DataPlane::enqueue(RingQueue<Packet>& queue, Packet pkt,
                         [[maybe_unused]] NodeId at,
                         [[maybe_unused]] Direction dir) {
   if (queue.size() >= config_.queue_capacity) {
     metrics_.on_dropped(pkt.source);
-    obs_.dropped->inc();
+    ++tally_.dropped;
     HARP_AUDIT_ONLY(++audit_dropped_;)
-    HARP_OBS_EVENT({.type = obs::EventType::kQueueDrop,
-                    .a = pkt.source,
-                    .slot = now_});
+    HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kQueueDrop,
+                                .a = pkt.source,
+                                .slot = now_});
     return;
   }
   queue.push_back(pkt);
-  HARP_OBS_EVENT({.type = obs::EventType::kQueueDepth,
-                  .aux = static_cast<std::uint8_t>(dir),
-                  .a = at,
-                  .slot = now_,
-                  .value = queue.size()});
+  HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kQueueDepth,
+                              .aux = static_cast<std::uint8_t>(dir),
+                              .a = at,
+                              .slot = now_,
+                              .value = queue.size()});
 }
 
 NodeId DataPlane::next_hop_down(NodeId from, NodeId destination) const {
@@ -277,14 +293,14 @@ void DataPlane::record_delivery(const Packet& pkt, AbsoluteSlot t,
                    static_cast<double>(latency_slots) *
                        config_.frame.slot_seconds,
                    met});
-  obs_.delivered->inc();
+  ++tally_.delivered;
   HARP_AUDIT_ONLY(++audit_delivered_;)
-  if (!met) obs_.deadline_misses->inc();
-  HARP_OBS_EVENT({.type = obs::EventType::kDeliver,
-                  .aux = static_cast<std::uint8_t>(met ? 1 : 0),
-                  .a = pkt.source,
-                  .slot = t,
-                  .value = latency_slots});
+  if (!met) ++tally_.deadline_misses;
+  HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kDeliver,
+                              .aux = static_cast<std::uint8_t>(met ? 1 : 0),
+                              .a = pkt.source,
+                              .slot = t,
+                              .value = latency_slots});
 }
 
 void DataPlane::deliver_up(Packet pkt, AbsoluteSlot t) {
@@ -298,12 +314,12 @@ void DataPlane::deliver_up(Packet pkt, AbsoluteSlot t) {
         next_hop_down(net::Topology::gateway(), pkt.destination);
     if (hop == kNoNode) {
       metrics_.on_dropped(pkt.source);  // destination roamed mid-flight
-      obs_.dropped->inc();
+      ++tally_.dropped;
       HARP_AUDIT_ONLY(++audit_dropped_;)
-      HARP_OBS_EVENT({.type = obs::EventType::kRouteDrop,
-                      .a = pkt.source,
-                      .b = pkt.destination,
-                      .slot = t});
+      HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kRouteDrop,
+                                  .a = pkt.source,
+                                  .b = pkt.destination,
+                                  .slot = t});
       return;
     }
     enqueue(down_queue_[hop], pkt, hop, Direction::kDown);
@@ -321,21 +337,21 @@ void DataPlane::deliver_down(NodeId at, Packet pkt, AbsoluteSlot t) {
   const NodeId hop = next_hop_down(at, pkt.destination);
   if (hop == kNoNode) {
     metrics_.on_dropped(pkt.source);  // destination roamed mid-flight
-    obs_.dropped->inc();
+    ++tally_.dropped;
     HARP_AUDIT_ONLY(++audit_dropped_;)
-    HARP_OBS_EVENT({.type = obs::EventType::kRouteDrop,
-                    .a = pkt.source,
-                    .b = pkt.destination,
-                    .slot = t});
+    HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kRouteDrop,
+                                .a = pkt.source,
+                                .b = pkt.destination,
+                                .slot = t});
     return;
   }
   enqueue(down_queue_[hop], pkt, hop, Direction::kDown);
 }
 
-void DataPlane::transmit(AbsoluteSlot t) {
-  const SlotId slot = static_cast<SlotId>(t % config_.frame.length);
-  const auto& entries = by_slot_[slot];
-  if (entries.empty()) return;
+void DataPlane::transmit(AbsoluteSlot t, SlotId slot) {
+  const std::uint32_t begin = slot_begin_[slot];
+  const std::uint32_t end = slot_begin_[slot + 1];
+  if (begin == end) return;
 
   // Identify which entries actually have a packet to send, then detect
   // conflicts among the ACTIVE transmissions only (an idle cell cannot
@@ -344,24 +360,24 @@ void DataPlane::transmit(AbsoluteSlot t) {
   // counters are epoch-stamped with t+1 (stamps start at 0) instead of
   // being cleared between slots.
   active_.clear();
-  for (const Entry& e : entries) {
-    const NodeId parent = topo_.parent(e.child);
+  for (std::uint32_t i = begin; i < end; ++i) {
+    const Entry& e = slot_entries_[i];
     if (e.dir == Direction::kUp) {
       if (!up_queue_[e.child].empty()) {
-        active_.push_back({&e, e.child, parent});
+        active_.push_back({&e, e.child, topo_.parent(e.child)});
       }
     } else {
       if (!down_queue_[e.child].empty()) {
-        active_.push_back({&e, parent, e.child});
+        active_.push_back({&e, topo_.parent(e.child), e.child});
       }
     }
   }
   if (active_.empty()) return;
 
   const AbsoluteSlot epoch = t + 1;
-  const auto cell_index = [this](Cell c) {
-    return static_cast<std::size_t>(c.slot) * config_.frame.num_channels +
-           c.channel;
+  const auto cell_index = [this, slot](const Entry& e) {
+    return static_cast<std::size_t>(slot) * config_.frame.num_channels +
+           e.channel;
   };
   const auto bump = [epoch](std::vector<AbsoluteSlot>& stamp,
                             std::vector<std::uint16_t>& count,
@@ -373,59 +389,57 @@ void DataPlane::transmit(AbsoluteSlot t) {
     ++count[i];
   };
   for (const Active& a : active_) {
-    bump(cell_stamp_, cell_count_, cell_index(a.entry->cell));
+    bump(cell_stamp_, cell_count_, cell_index(*a.entry));
     bump(node_stamp_, node_count_, a.sender);
     bump(node_stamp_, node_count_, a.receiver);
   }
 
   for (const Active& a : active_) {
-    obs_.tx_attempts->inc();
+    ++tally_.tx_attempts;
     [[maybe_unused]] const auto dir_aux =
         static_cast<std::uint8_t>(a.entry->dir);
     [[maybe_unused]] const auto channel =
-        static_cast<std::uint16_t>(a.entry->cell.channel);
-    const bool collided = cell_count_[cell_index(a.entry->cell)] > 1 ||
+        static_cast<std::uint16_t>(a.entry->channel);
+    const bool collided = cell_count_[cell_index(*a.entry)] > 1 ||
                           node_count_[a.sender] > 1 ||
                           node_count_[a.receiver] > 1;
     if (collided) {
-      obs_.collisions->inc();
-      HARP_OBS_EVENT({.type = obs::EventType::kCollision,
-                      .aux = dir_aux,
-                      .channel = channel,
-                      .a = a.sender,
-                      .b = a.receiver,
-                      .slot = t});
+      ++tally_.collisions;
+      HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kCollision,
+                                  .aux = dir_aux,
+                                  .channel = channel,
+                                  .a = a.sender,
+                                  .b = a.receiver,
+                                  .slot = t});
       continue;  // retry in the link's next cell
     }
-    if (!rng_.chance(success_probability(a.entry->cell.channel, t))) {
-      obs_.link_loss->inc();
-      HARP_OBS_EVENT({.type = obs::EventType::kLinkLoss,
-                      .aux = dir_aux,
-                      .channel = channel,
-                      .a = a.sender,
-                      .b = a.receiver,
-                      .slot = t});
+    if (!rng_.chance(success_probability(a.entry->channel, t))) {
+      ++tally_.link_loss;
+      HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kLinkLoss,
+                                  .aux = dir_aux,
+                                  .channel = channel,
+                                  .a = a.sender,
+                                  .b = a.receiver,
+                                  .slot = t});
       continue;  // retry in the link's next cell
     }
-    obs_.tx_success->inc();
-    HARP_OBS_EVENT({.type = obs::EventType::kTxSuccess,
-                    .aux = dir_aux,
-                    .channel = channel,
-                    .a = a.sender,
-                    .b = a.receiver,
-                    .slot = t});
+    ++tally_.tx_success;
+    HARP_OBS_EVENT_TO(*trace_, {.type = obs::EventType::kTxSuccess,
+                                .aux = dir_aux,
+                                .channel = channel,
+                                .a = a.sender,
+                                .b = a.receiver,
+                                .slot = t});
 
     if (a.entry->dir == Direction::kUp) {
-      Packet pkt = up_queue_[a.entry->child].front();
-      up_queue_[a.entry->child].pop_front();
+      const Packet pkt = up_queue_[a.entry->child].pop_front();
       if (a.receiver == net::Topology::gateway()) {
         deliver_up(pkt, t);
       } else {
         enqueue(up_queue_[a.receiver], pkt, a.receiver, Direction::kUp);
       }
     } else {
-      Packet pkt = down_queue_[a.entry->child].front();
-      down_queue_[a.entry->child].pop_front();
+      const Packet pkt = down_queue_[a.entry->child].pop_front();
       deliver_down(a.entry->child, pkt, t);
     }
   }

@@ -16,17 +16,18 @@
 // measured from generation to final delivery.
 #pragma once
 
-#include <deque>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "harp/schedule.hpp"
 #include "net/task.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/metrics.hpp"
 
 namespace harp::sim {
@@ -45,6 +46,8 @@ class DataPlane {
             SimConfig config, std::uint64_t seed);
 
   /// Installs (or replaces) the cell assignment; takes effect next slot.
+  /// A full rebuild of the slot table: callers install only when the
+  /// schedule changed (HarpSimulation checks core::Schedule::version()).
   void set_schedule(const core::Schedule& schedule);
 
   /// Runs `n` slots of network time.
@@ -126,14 +129,16 @@ class DataPlane {
   /// pass monotonically increasing `t`, so expiry is permanent).
   double success_probability(ChannelId channel, AbsoluteSlot t);
 
+  /// Releases the packets due at `t`.
   void generate(AbsoluteSlot t);
-  void transmit(AbsoluteSlot t);
+  /// Fires slot `t`'s cells; `slot` is t's slot-in-frame.
+  void transmit(AbsoluteSlot t, SlotId slot);
   void deliver_up(Packet pkt, AbsoluteSlot t);
   void deliver_down(NodeId at, Packet pkt, AbsoluteSlot t);
   void record_delivery(const Packet& pkt, AbsoluteSlot t,
                        std::uint32_t deadline);
   NodeId next_hop_down(NodeId from, NodeId destination) const;
-  void enqueue(std::deque<Packet>& queue, Packet pkt, NodeId at,
+  void enqueue(RingQueue<Packet>& queue, Packet pkt, NodeId at,
                Direction dir);
   /// First task (insertion order) with this id, or nullptr. O(1).
   const net::Task* find_spec(TaskId task) const;
@@ -154,6 +159,19 @@ class DataPlane {
     obs::Counter* link_loss;
   };
   static ObsCounters resolve_obs_counters();
+  /// The slot loop's counts, added into obs_ in bulk when run_slots
+  /// returns (and zeroed), so per-packet bookkeeping is a local add.
+  struct Tally {
+    std::uint64_t generated{0};
+    std::uint64_t delivered{0};
+    std::uint64_t dropped{0};
+    std::uint64_t deadline_misses{0};
+    std::uint64_t tx_attempts{0};
+    std::uint64_t tx_success{0};
+    std::uint64_t collisions{0};
+    std::uint64_t link_loss{0};
+  };
+  void flush_tally(AbsoluteSlot slots);
 
   const net::Topology& topo_;
   SimConfig config_;
@@ -163,18 +181,23 @@ class DataPlane {
   AbsoluteSlot now_{0};
 
   /// Uplink FIFO per node (next hop is always the parent).
-  std::vector<std::deque<Packet>> up_queue_;
+  std::vector<RingQueue<Packet>> up_queue_;
   /// Downlink FIFO per link, keyed by the child endpoint: packets waiting
   /// at the parent to cross that link.
-  std::vector<std::deque<Packet>> down_queue_;
+  std::vector<RingQueue<Packet>> down_queue_;
 
-  /// Transmission opportunities per slot-in-frame.
+  /// Transmission opportunities per slot-in-frame, as one CSR table: the
+  /// entries of slot s are slot_entries_[slot_begin_[s] ..
+  /// slot_begin_[s + 1]), child-major and uplink before downlink within
+  /// the slot (the order the transmit loop, and so every pinned digest,
+  /// depends on). An entry's slot is its row, so only the channel is kept.
   struct Entry {
     NodeId child;
+    ChannelId channel;
     Direction dir;
-    Cell cell;
   };
-  std::vector<std::vector<Entry>> by_slot_;
+  std::vector<Entry> slot_entries_;
+  std::vector<std::uint32_t> slot_begin_;  // frame.length + 1 offsets
   /// Interference bursts bucketed by channel; expired bursts are pruned
   /// lazily by success_probability().
   std::vector<std::vector<Interference>> interference_;
@@ -182,8 +205,11 @@ class DataPlane {
   /// Task indexes so deliver/generate/set_task_period stop scanning
   /// tasks_: first task per id (duplicate-id lookups resolve to the first
   /// insertion, as the old linear scans did) and the unique task per seq.
+  /// Seqs are dense and monotonic, so the seq index is a flat vector
+  /// (kNoTask for removed tasks).
   std::unordered_map<TaskId, std::uint32_t> index_by_id_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_by_seq_;
+  std::vector<std::uint32_t> index_by_seq_;
+  static constexpr std::uint32_t kNoTask = ~0u;
   std::uint64_t next_task_seq_{0};
   /// Min-heap release calendar: generate() pops due entries instead of
   /// scanning every task every slot. Entries are lazily invalidated.
@@ -204,6 +230,10 @@ class DataPlane {
   std::vector<std::uint16_t> node_count_;
 
   ObsCounters obs_{resolve_obs_counters()};
+  Tally tally_;
+  /// The sink the slot loop's trace events go to: the calling context's,
+  /// bound once per run_slots call.
+  obs::TraceSink* trace_{nullptr};
 
 #if HARP_AUDIT_ENABLED
   /// Audit-only conservation ledger, independent of LatencyRecorder (which

@@ -21,13 +21,25 @@ HarpSimulation::HarpSimulation(const net::Topology& topo,
                options.own_slack, rt::RuntimeOptions{.arq = {.enabled = false}}),
       data_(runtime_.topology(), tasks_,
             SimConfig{options.frame, options.pdr, options.queue_capacity},
-            options.seed) {}
+            options.seed),
+      installs_counter_(obs::MetricsRegistry::global().counter(
+          "harp.sim.schedule_installs")) {}
 
 void HarpSimulation::refresh_schedule() {
+  // Install points are the logged departures (the pinned digests depend
+  // on that timing); at one, reinstall only if some agent rewrote cells
+  // since the last install.
   if (mgmt_.log().size() == installed_log_size_) return;
   installed_log_size_ = mgmt_.log().size();
   data_.resize_for_topology();  // a join may have grown the topology
+  if (current_schedule().version() != installed_version_) install_schedule();
+}
+
+void HarpSimulation::install_schedule() {
   data_.set_schedule(current_schedule());
+  installed_version_ = current_schedule().version();
+  ++schedule_installs_;
+  installs_counter_.inc();
 }
 
 void HarpSimulation::advance_to(AbsoluteSlot t) {
@@ -68,7 +80,7 @@ AbsoluteSlot HarpSimulation::bootstrap(AbsoluteSlot timeout_frames) {
   HARP_ASSERT(!bootstrapped_);
   const AbsoluteSlot start = now_;
   settle(timeout_frames, [&] { runtime_.bootstrap(); });
-  data_.set_schedule(current_schedule());
+  install_schedule();
   installed_log_size_ = mgmt_.log().size();
   bootstrapped_ = true;
   return now_ - start;
@@ -92,6 +104,7 @@ MgmtPlane::Summary HarpSimulation::change_link_demand(
     NodeId child, Direction dir, int cells, AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
   runtime_.require_node("change_link_demand", child, true);
+  rt::ProtoRuntime::require_demand("change_link_demand", cells);
   mgmt_.clear_log();
   settle(timeout_frames, [&] { runtime_.change_demand(child, dir, cells); });
   return mgmt_.summarize(topology());
@@ -102,6 +115,8 @@ HarpSimulation::JoinResult HarpSimulation::join_node(
     std::uint32_t echo_period_slots, AbsoluteSlot timeout_frames) {
   HARP_ASSERT(bootstrapped_);
   runtime_.require_node("join_node", parent, false);
+  rt::ProtoRuntime::require_demand("join_node", up_cells);
+  rt::ProtoRuntime::require_demand("join_node", down_cells);
   const std::uint32_t rm_period =
       echo_period_slots > 0 ? echo_period_slots : ~0u;
   mgmt_.clear_log();

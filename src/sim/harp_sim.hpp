@@ -5,10 +5,12 @@
 // management-sub-frame cells, slot-accurate, through sim::MgmtChannel on
 // a dispatcher whose tick is one absolute slot), and the TSCH data plane
 // (packets over the scheduled cells, run up to each management departure
-// from the channel's slot hook). This is the substrate for the paper's
-// testbed experiments: Fig. 9 (static latency), Fig. 10 (latency under
-// rate changes) and Table II (adjustment overhead with real message
-// timing).
+// from the channel's slot hook). The data plane's slot table is
+// reinstalled at logged management departures, and only when some agent
+// changed the schedule since the previous install. This is the substrate
+// for the paper's testbed experiments: Fig. 9 (static latency), Fig. 10
+// (latency under rate changes) and Table II (adjustment overhead with
+// real message timing).
 #pragma once
 
 #include <vector>
@@ -103,6 +105,10 @@ class HarpSimulation {
     return runtime_.current_schedule();
   }
 
+  /// Full schedule installs into the data plane so far (bootstrap
+  /// included); also counted by the `harp.sim.schedule_installs` metric.
+  std::uint64_t schedule_installs() const { return schedule_installs_; }
+
  private:
   /// MgmtChannel slot hook: enforces the running operation's timeout,
   /// then runs the data plane (once bootstrapped) up to slot `t`.
@@ -111,7 +117,10 @@ class HarpSimulation {
   /// quiescence, throwing Error at the first departure past the timeout.
   template <typename Op>
   void settle(AbsoluteSlot timeout_frames, Op&& op);
+  /// At a logged departure: installs the live schedule into the data
+  /// plane if its version moved since the last install.
   void refresh_schedule();
+  void install_schedule();
 
   static constexpr AbsoluteSlot kNoDeadline = ~0ull;
 
@@ -126,6 +135,9 @@ class HarpSimulation {
   AbsoluteSlot now_{0};
   AbsoluteSlot deadline_{kNoDeadline};
   std::size_t installed_log_size_{0};
+  std::uint64_t installed_version_{0};
+  std::uint64_t schedule_installs_{0};
+  obs::Counter& installs_counter_;
   bool bootstrapped_{false};
 };
 

@@ -275,6 +275,40 @@ TEST(RtRuntime, UnknownNodeIdsAreRejectedBeforeAnyStateChange) {
   }
 }
 
+TEST(RtRuntime, NegativeDemandsAreRejectedBeforeAnyStateChange) {
+  const Net n = echo_net(net::fig1_tree());
+  LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks, 1);
+  network.bootstrap();
+  const std::uint64_t before = network.fingerprint();
+  const std::size_t nodes = network.topology().size();
+  const std::pair<std::function<void()>, std::string> cases[] = {
+      {[&] { network.change_demand(9, Direction::kUp, -20); },
+       "change_demand: negative demand -20"},
+      {[&] { network.change_demand(9, Direction::kDown, -1); },
+       "change_demand: negative demand -1"},
+      {[&] { network.join_node(1, -1, 1); }, "join_node: negative demand -1"},
+      {[&] { network.join_node(1, 1, -3); }, "join_node: negative demand -3"},
+  };
+  for (const auto& [call, message] : cases) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+    EXPECT_EQ(network.fingerprint(), before) << message;
+    EXPECT_EQ(network.topology().size(), nodes) << message;
+    EXPECT_TRUE(network.quiescent()) << message;
+  }
+  // A sibling's growth after the rejection runs exactly as on a network
+  // that never saw it (an accepted -20 made this one throw mid-op).
+  LoopbackAgents fresh(n.topo, n.traffic, frame(), n.tasks, 1);
+  fresh.bootstrap();
+  fresh.change_demand(11, Direction::kUp, 12);
+  network.change_demand(11, Direction::kUp, 12);
+  EXPECT_EQ(network.fingerprint(), fresh.fingerprint());
+}
+
 // perf_rt_dispatch's runtime round. The bench folds this round's
 // fingerprint after its task and timer section checksums (which involve
 // no agent) into the "fingerprint" of BENCH_rt_dispatch.json.

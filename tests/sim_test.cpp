@@ -3,11 +3,16 @@
 // software testbed).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
+#include "obs/obs.hpp"
 #include "rt/dispatcher.hpp"
 #include "rt/runtime.hpp"
 #include "sim/harp_sim.hpp"
@@ -543,6 +548,94 @@ TEST(HarpSimulation, ScriptedLossySessionDigestIsPinned) {
 
   EXPECT_EQ(sim.now(), 24475u);
   EXPECT_EQ(h, 0xe6a60ee2c671b6a3ULL);
+  // Full schedule installs: bootstrap plus one per logged departure whose
+  // agents changed cells since the previous install.
+  EXPECT_EQ(sim.schedule_installs(), 27u);
+}
+
+TEST(HarpSimulation, NegativeDemandsAreRejectedBeforeAnyStateChange) {
+  const auto topo = net::fig1_tree();
+  HarpSimulation sim(topo, net::uniform_echo_tasks(topo, 199),
+                     {frame(), 1.0, 1});
+  sim.bootstrap();
+  sim.run_frames(1);
+  const core::Schedule schedule = sim.current_schedule();
+  const std::size_t logged = sim.mgmt().log().size();
+  const std::uint64_t installs = sim.schedule_installs();
+  const AbsoluteSlot now = sim.now();
+  const NodeId parent = topo.parent(9);
+  const int demand = sim.agent(parent).child_demand(9, Direction::kUp);
+  const std::pair<std::function<void()>, std::string> cases[] = {
+      {[&] { sim.change_link_demand(9, Direction::kUp, -20); },
+       "change_link_demand: negative demand -20"},
+      {[&] { sim.join_node(1, -1, 1); }, "join_node: negative demand -1"},
+      {[&] { sim.join_node(1, 1, -2); }, "join_node: negative demand -2"},
+  };
+  for (const auto& [call, message] : cases) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+    EXPECT_EQ(sim.current_schedule(), schedule) << message;
+    EXPECT_EQ(sim.mgmt().log().size(), logged) << message;
+    EXPECT_EQ(sim.schedule_installs(), installs) << message;
+    EXPECT_EQ(sim.now(), now) << message;
+    EXPECT_EQ(sim.topology().size(), topo.size()) << message;
+    EXPECT_EQ(sim.agent(parent).child_demand(9, Direction::kUp), demand);
+  }
+}
+
+TEST(HarpSimulation, LossyTraceStreamDigestIsPinned) {
+  if (!HARP_OBS_ENABLED) GTEST_SKIP() << "trace events compile out";
+  // Every trace event of a short lossy session (bootstrap, a jammed
+  // channel, one Table II growth, a few frames), in emission order, folded
+  // into one digest: the slot loop's events must keep their content and
+  // order however the loop reaches its sink. Phase events carry
+  // wall-clock time and are left out.
+  obs::Context ctx;
+  const obs::ScopedContext scoped(ctx);
+  obs::enable();
+  const auto topo = net::testbed_tree();
+  const net::SlotframeConfig f = testbed_frame();
+  HarpSimulation::Options opts{f};
+  opts.own_slack = 1;
+  opts.pdr = 0.9;
+  opts.seed = 11;
+  HarpSimulation sim(topo, net::uniform_echo_tasks(topo, f.length), opts);
+  sim.bootstrap();
+  sim.data().add_interference(3, sim.now(), sim.now() + 4 * f.length, 0.2);
+  sim.run_frames(2);
+  const NodeId child = topo.children(5).front();
+  sim.change_link_demand(
+      child, Direction::kUp,
+      sim.agent(5).child_demand(child, Direction::kUp) + 3);
+  sim.run_frames(2);
+  obs::disable();
+
+  ASSERT_EQ(ctx.trace.overwritten(), 0u);
+  std::uint64_t h = kFnvOffset;
+  std::uint64_t events = 0;
+  std::uint64_t transmissions = 0;
+  for (const obs::TraceEvent& e : ctx.trace.snapshot()) {
+    if (e.type == obs::EventType::kPhase) continue;
+    ++events;
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(e.type));
+    h = fnv1a_u64(h, e.aux);
+    h = fnv1a_u64(h, e.channel);
+    h = fnv1a_u64(h, e.a);
+    h = fnv1a_u64(h, e.b);
+    h = fnv1a_u64(h, e.slot);
+    h = fnv1a_u64(h, e.value);
+    transmissions += e.type == obs::EventType::kTxSuccess ||
+                     e.type == obs::EventType::kCollision ||
+                     e.type == obs::EventType::kLinkLoss;
+  }
+  EXPECT_EQ(transmissions,
+            ctx.metrics.counter("harp.sim.tx_attempts").value());
+  EXPECT_EQ(events, 6634u);
+  EXPECT_EQ(h, 0xd46e04278616c48fULL);
 }
 
 #ifndef HARP_ASSERT_ABORT

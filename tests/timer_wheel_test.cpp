@@ -365,5 +365,88 @@ TEST(RingQueue, MoveOnlyElementsSurviveGrowth) {
   }
 }
 
+/// The ring's elements, oldest first, through the const for_each.
+template <typename T>
+std::vector<T> contents(const RingQueue<T>& q) {
+  std::vector<T> out;
+  q.for_each([&](const T& v) { out.push_back(v); });
+  return out;
+}
+
+TEST(RingQueue, EraseIfKeepsSurvivorOrderAcrossWrapAndGrowth) {
+  RingQueue<int> q;
+  for (int i = 0; i < 10; ++i) q.push_back(i);
+  for (int i = 0; i < 8; ++i) q.pop_front();
+  for (int i = 10; i < 22; ++i) q.push_back(i);  // live range wraps
+  ASSERT_EQ(q.capacity(), 16u);
+  const auto odd = [](int v) { return v % 2 != 0; };
+  EXPECT_EQ(q.erase_if(odd), 7u);
+  EXPECT_EQ(contents(q), (std::vector<int>{8, 10, 12, 14, 16, 18, 20}));
+
+  // Grow past the first buffer, then wrap the grown one and erase again.
+  for (int i = 22; i < 40; ++i) q.push_back(i);
+  ASSERT_EQ(q.capacity(), 32u);
+  for (int i = 0; i < 10; ++i) q.pop_front();
+  for (int i = 40; i < 52; ++i) q.push_back(i);
+  const auto threes = [](int v) { return v % 3 == 0; };
+  std::vector<int> want;
+  for (int v : contents(q)) {
+    if (!threes(v)) want.push_back(v);
+  }
+  const std::size_t before = q.size();
+  EXPECT_EQ(q.erase_if(threes), before - want.size());
+  EXPECT_EQ(contents(q), want);
+  // Still a FIFO after the compaction.
+  q.push_back(100);
+  for (int v : want) ASSERT_EQ(q.pop_front(), v);
+  EXPECT_EQ(q.pop_front(), 100);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(RingQueue, ForEachVisitsOldestFirst) {
+  RingQueue<int> q;
+  for (int i = 0; i < 12; ++i) q.push_back(i);
+  for (int i = 0; i < 9; ++i) q.pop_front();
+  for (int i = 12; i < 25; ++i) q.push_back(i);  // wraps the buffer end
+  std::vector<int> want;
+  for (int i = 9; i < 25; ++i) want.push_back(i);
+  EXPECT_EQ(contents(q), want);
+}
+
+TEST(RingQueue, EmptyAndFullThenDrainedRingsBehave) {
+  RingQueue<int> q;
+  EXPECT_EQ(q.erase_if([](int) { return true; }), 0u);
+  EXPECT_TRUE(contents(q).empty());
+
+  for (int i = 0; i < 16; ++i) q.push_back(i);
+  ASSERT_EQ(q.capacity(), 16u);  // exactly full, no growth yet
+  EXPECT_EQ(q.erase_if([](int) { return false; }), 0u);
+  EXPECT_EQ(q.size(), 16u);
+  EXPECT_EQ(q.erase_if([](int) { return true; }), 16u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(contents(q).empty());
+  EXPECT_EQ(q.capacity(), 16u);
+  q.push_back(7);
+  EXPECT_EQ(q.front(), 7);
+  EXPECT_EQ(q.pop_front(), 7);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(RingQueue, EraseIfReleasesRemovedElements) {
+  const auto token = std::make_shared<int>(0);
+  RingQueue<std::shared_ptr<int>> q;
+  for (int i = 0; i < 6; ++i) {
+    q.push_back(i % 2 == 0 ? token : std::make_shared<int>(i));
+  }
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_EQ(q.erase_if([&](const std::shared_ptr<int>& p) {
+              return p == token;
+            }),
+            3u);
+  EXPECT_EQ(token.use_count(), 1);  // nothing left holding a copy
+  EXPECT_EQ(q.size(), 3u);
+  for (int i = 1; i < 6; i += 2) EXPECT_EQ(*q.pop_front(), i);
+}
+
 }  // namespace
 }  // namespace harp
