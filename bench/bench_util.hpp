@@ -81,6 +81,38 @@ inline std::string pct(double v, int precision = 1) {
   return buf;
 }
 
+/// A 64-bit digest as the 16 hex digits every report and pin uses.
+inline std::string hex64(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// A bench's self-checks: exact pins and same-run floors. Each failed
+/// check prints one line to stderr, and main() returns exit_code(), so a
+/// bench fails on its own output with no baseline from another run.
+class Checks {
+ public:
+  void pin(const std::string& what, const std::string& got,
+           const std::string& want) {
+    if (got != want) fail(what + " is " + got + ", pinned " + want);
+  }
+  void floor(const std::string& what, double got, double min) {
+    if (!(got >= min)) {
+      fail(what + " is " + fmt(got) + ", below its floor " + fmt(min));
+    }
+  }
+  void fail(const std::string& why) {
+    std::fprintf(stderr, "CHECK FAILED: %s\n", why.c_str());
+    ++failed_;
+  }
+  int exit_code() const { return failed_ == 0 ? 0 : 1; }
+
+ private:
+  int failed_ = 0;
+};
+
 class Timer {
  public:
   Timer() : start_(std::chrono::steady_clock::now()) {}
@@ -226,10 +258,7 @@ inline void print_aggregate(const runner::FleetResult& fleet,
 /// Build/run provenance attached to every JSON report under
 /// "provenance" (docs/OBSERVABILITY.md): which source revision, compiler
 /// and build type produced the numbers, and how parallel the run was.
-/// This is what lets scripts/bench_compare.py name exactly what a stale
-/// checked-in baseline was built from, and lets hardware-dependent gates
-/// (fleet shard scaling) calibrate to the machine that produced the
-/// candidate. HARP_GIT_SHA/HARP_BUILD_TYPE are configure-time injections
+/// HARP_GIT_SHA/HARP_BUILD_TYPE are configure-time injections
 /// (bench/CMakeLists.txt) — a rebuild without re-configure can lag; the
 /// trailing "+" marks a tree that was already dirty at configure time.
 inline obs::Json provenance(std::size_t jobs) {
@@ -313,10 +342,7 @@ class JsonReport {
       meta["trials"] = static_cast<std::uint64_t>(fleet.trial_results.size());
       meta["jobs"] = static_cast<std::uint64_t>(fleet.jobs);
       meta["base_seed"] = base_seed;
-      char fp[32];
-      std::snprintf(fp, sizeof fp, "%016llx",
-                    static_cast<unsigned long long>(fleet.fingerprint));
-      meta["fingerprint"] = fp;
+      meta["fingerprint"] = hex64(fleet.fingerprint);
       meta["wall_seconds"] = fleet.wall_seconds;
       obs::Json& trials = doc["trials"];
       trials = obs::Json::array();

@@ -1,40 +1,38 @@
-// Experiment E10 — microbenchmarks (google-benchmark): throughput of the
-// algorithmic kernels HARP runs on constrained devices — skyline strip
-// packing, MaxRects feasibility packing, Alg. 1 composition, Alg. 2
-// adjustment — plus whole-engine bootstrap and a dynamic request.
+// Experiment E10 — kernel microbenchmarks: throughput of the algorithmic
+// kernels HARP runs on constrained devices — skyline strip packing,
+// MaxRects feasibility packing, Alg. 1 composition and Alg. 2 adjustment.
 //
 // These bound the on-node compute cost the paper argues is affordable for
 // class CC2650 hardware (composition inputs are single-digit rectangle
 // counts; everything here is microseconds).
 //
-// Two modes share one binary:
-//   * default          — google-benchmark, interactive tuning runs;
-//   * --json <path>    — the CI gate (scripts/bench_compare.py, experiment
-//     `micro_packing`): the same kernel workloads, self-timed with median
-//     sampling, each digested placement-by-placement into a 64-bit
-//     checksum. The checksums pin the bit-identical contract of
-//     docs/KERNELS.md — any layout difference between code versions fails
-//     the gate exactly; timings are gated loosely (microbenchmark noise).
-#include <benchmark/benchmark.h>
-
+// Every kernel is self-timed with median sampling and digested
+// placement-by-placement into a 64-bit checksum. The checksums pin the
+// bit-identical contract of docs/KERNELS.md: the bench checks each one
+// against its literal below and exits 1 on any mismatch, so a layout
+// change fails here whatever the timings say. With `--json <path>` the
+// checksums and ns/op go out as a harp-obs/1 report.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "harp/adjustment.hpp"
 #include "harp/compose.hpp"
-#include "harp/engine.hpp"
-#include "net/topology_gen.hpp"
-#include "net/traffic.hpp"
 #include "packing/maxrects.hpp"
 #include "packing/skyline.hpp"
 
 using namespace harp;
 
 namespace {
+
+/// Keeps a timed call's result observable, so the optimizer cannot drop
+/// the call.
+volatile std::size_t g_sink = 0;
 
 std::vector<packing::Rect> random_rects(std::uint64_t seed, std::size_t n,
                                         packing::Dim max_w,
@@ -48,25 +46,6 @@ std::vector<packing::Rect> random_rects(std::uint64_t seed, std::size_t n,
   return rects;
 }
 
-void BM_SkylinePack(benchmark::State& state) {
-  const auto rects =
-      random_rects(1, static_cast<std::size_t>(state.range(0)), 8, 12);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(packing::pack_strip(rects, 16));
-  }
-}
-BENCHMARK(BM_SkylinePack)->Arg(6)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_MaxRectsPack(benchmark::State& state) {
-  const auto rects =
-      random_rects(2, static_cast<std::size_t>(state.range(0)), 6, 20);
-  for (auto _ : state) {
-    packing::FixedBinPacker bin(199, 16);
-    benchmark::DoNotOptimize(bin.try_pack(rects));
-  }
-}
-BENCHMARK(BM_MaxRectsPack)->Arg(6)->Arg(16)->Arg(64);
-
 std::vector<core::ChildComponent> compose_children(int n) {
   Rng rng(3);
   std::vector<core::ChildComponent> children;
@@ -77,14 +56,6 @@ std::vector<core::ChildComponent> compose_children(int n) {
   }
   return children;
 }
-
-void BM_Compose(benchmark::State& state) {
-  const auto children = compose_children(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compose_components(children, 16));
-  }
-}
-BENCHMARK(BM_Compose)->Arg(3)->Arg(6)->Arg(12);
 
 struct AdjustmentCase {
   std::vector<packing::Placement> layout;
@@ -104,43 +75,6 @@ AdjustmentCase adjustment_case() {
   return out;
 }
 
-void BM_Adjustment(benchmark::State& state) {
-  const AdjustmentCase c = adjustment_case();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::adjust_partition_layout({40, 8}, c.layout, c.child, {12, 3}));
-  }
-}
-BENCHMARK(BM_Adjustment);
-
-void BM_EngineBootstrap(benchmark::State& state) {
-  const auto topo = net::testbed_tree();
-  const auto tasks = net::uniform_echo_tasks(topo, 199);
-  const net::SlotframeConfig frame;
-  for (auto _ : state) {
-    core::HarpEngine engine(topo, tasks, frame);
-    benchmark::DoNotOptimize(engine.schedule().total_cells());
-  }
-}
-BENCHMARK(BM_EngineBootstrap);
-
-void BM_EngineDynamicRequest(benchmark::State& state) {
-  const auto topo = net::testbed_tree();
-  const auto tasks = net::uniform_echo_tasks(topo, 199);
-  net::SlotframeConfig frame;
-  frame.data_slots = 180;
-  core::HarpEngine engine(topo, tasks, frame);
-  int demand = 1;
-  for (auto _ : state) {
-    demand = (demand == 1) ? 2 : 1;
-    benchmark::DoNotOptimize(
-        engine.request_demand(49, Direction::kUp, demand));
-  }
-}
-BENCHMARK(BM_EngineDynamicRequest);
-
-// ------------------------------------------------------------ gate mode
-
 std::uint64_t digest_u64(std::uint64_t h, std::uint64_t v) {
   return harp::fnv1a(h, &v, sizeof v);
 }
@@ -156,13 +90,6 @@ std::uint64_t digest_placements(
     h = digest_u64(h, p.id);
   }
   return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Median ns/op over `samples` timed batches of `iters` calls each. The
@@ -181,24 +108,47 @@ double median_ns_per_op(int samples, int iters, Fn&& fn) {
   return ns[ns.size() / 2];
 }
 
-void gate_kernel(obs::Json& kernels, const std::string& name,
-                 std::uint64_t checksum, double ns_per_op) {
+/// The pinned checksum of every kernel case: its full output for the
+/// fixed inputs above.
+struct Pin {
+  const char* kernel;
+  const char* checksum;
+};
+constexpr Pin kPins[] = {
+    {"skyline_n6", "05f4a5f24d42a65a"},   {"skyline_n16", "660a157c0186378b"},
+    {"skyline_n64", "8916bd982c67f00c"},  {"skyline_n256", "fc3df0633588bfd7"},
+    {"maxrects_n6", "46a0d87fc5b9b7c2"},  {"maxrects_n16", "15745b404568c77f"},
+    {"maxrects_n64", "2646027b28c4f311"}, {"compose_n3", "a436687fda57a161"},
+    {"compose_n6", "14b294b49e1e4acd"},   {"compose_n12", "c4ab2984a0d91f14"},
+    {"adjustment", "6bdb6ae83a835ba4"},
+};
+
+void report_kernel(obs::Json& kernels, bench::Checks& checks,
+                   const std::string& name, std::uint64_t checksum,
+                   double ns_per_op) {
+  const std::string hex = bench::hex64(checksum);
   obs::Json& k = kernels[name];
-  k["checksum"] = hex64(checksum);
+  k["checksum"] = hex;
   k["ns_per_op"] = ns_per_op;
-  std::printf("%-16s %18s  %10.1f ns/op\n", name.c_str(),
-              hex64(checksum).c_str(), ns_per_op);
+  std::printf("%-16s %18s  %10.1f ns/op\n", name.c_str(), hex.c_str(),
+              ns_per_op);
+  const auto pin = std::find_if(std::begin(kPins), std::end(kPins),
+                                [&](const Pin& p) { return p.kernel == name; });
+  checks.pin(name + " checksum", hex,
+             pin == std::end(kPins) ? "none" : pin->checksum);
 }
 
-int run_gate(int argc, char** argv) {
+}  // namespace
+
+int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv);
   bench::JsonReport report("micro_packing", args);
   obs::Json& kernels = report.results()["kernels"];
+  bench::Checks checks;
   constexpr int kSamples = 15;
 
   // Skyline strip packing: the SoA kernel through its production entry
-  // point, digested against the scalar oracle in the same run — the gate
-  // re-proves the bit-identical contract before pinning the checksum.
+  // point, checked against the scalar reference in the same run.
   for (const std::size_t n : {std::size_t{6}, std::size_t{16},
                               std::size_t{64}, std::size_t{256}}) {
     const auto rects = random_rects(1, n, 8, 12);
@@ -206,9 +156,9 @@ int run_gate(int argc, char** argv) {
     packing::StripResult out, ref;
     packing::pack_strip_into(rects, 16, scratch, out);
     packing::pack_strip_reference_into(rects, 16, ref_scratch, ref);
+    const std::string name = "skyline_n" + std::to_string(n);
     if (out.height != ref.height || out.placements != ref.placements) {
-      std::fprintf(stderr, "skyline_n%zu: SoA and reference diverged\n", n);
-      return 1;
+      checks.fail(name + ": SoA and reference diverged");
     }
     std::uint64_t sum = digest_u64(harp::kFnvOffset,
                                    static_cast<std::uint64_t>(out.height));
@@ -217,25 +167,28 @@ int run_gate(int argc, char** argv) {
     const double ns = median_ns_per_op(kSamples, iters, [&] {
       packing::pack_strip_into(rects, 16, scratch, out);
     });
-    gate_kernel(kernels, "skyline_n" + std::to_string(n), sum, ns);
+    report_kernel(kernels, checks, name, sum, ns);
   }
 
   // MaxRects feasibility packing (fresh bin per op, as the adjustment
-  // path uses it).
+  // path uses it). Heights span 1..4 channels, the range compose_children
+  // draws, so every case packs and the timing is of a real packing.
   for (const std::size_t n :
        {std::size_t{6}, std::size_t{16}, std::size_t{64}}) {
-    const auto rects = random_rects(2, n, 6, 20);
+    const auto rects = random_rects(2, n, 6, 4);
     packing::FixedBinPacker bin(199, 16);
     const auto packed = bin.try_pack(rects);
+    const std::string name = "maxrects_n" + std::to_string(n);
+    if (!packed) checks.fail(name + ": rects do not fit the bin");
     std::uint64_t sum =
         digest_u64(harp::kFnvOffset, packed.has_value() ? 1 : 0);
     if (packed) sum = digest_placements(sum, *packed);
     const int iters = static_cast<int>(4000 / n) + 1;
     const double ns = median_ns_per_op(kSamples, iters, [&] {
       packing::FixedBinPacker fresh(199, 16);
-      benchmark::DoNotOptimize(fresh.try_pack(rects));
+      g_sink = fresh.try_pack(rects).has_value();
     });
-    gate_kernel(kernels, "maxrects_n" + std::to_string(n), sum, ns);
+    report_kernel(kernels, checks, name, sum, ns);
   }
 
   // Alg. 1 composition (double mapping) through the scratch-reusing core.
@@ -251,7 +204,7 @@ int run_gate(int argc, char** argv) {
     const double ns = median_ns_per_op(kSamples, 4000, [&] {
       core::compose_components_into(children, 16, scratch, comp);
     });
-    gate_kernel(kernels, "compose_n" + std::to_string(n), sum, ns);
+    report_kernel(kernels, checks, "compose_n" + std::to_string(n), sum, ns);
   }
 
   // Alg. 2 partition adjustment.
@@ -262,28 +215,13 @@ int run_gate(int argc, char** argv) {
     std::uint64_t sum = digest_u64(harp::kFnvOffset, out.success ? 1 : 0);
     sum = digest_placements(sum, out.layout);
     const double ns = median_ns_per_op(kSamples, 2000, [&] {
-      benchmark::DoNotOptimize(
-          core::adjust_partition_layout({40, 8}, c.layout, c.child, {12, 3}));
+      g_sink = core::adjust_partition_layout({40, 8}, c.layout, c.child,
+                                             {12, 3})
+                   .layout.size();
     });
-    gate_kernel(kernels, "adjustment", sum, ns);
+    report_kernel(kernels, checks, "adjustment", sum, ns);
   }
 
   report.write();
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 ||
-        std::strcmp(argv[i], "--trace") == 0) {
-      return run_gate(argc, argv);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return checks.exit_code();
 }

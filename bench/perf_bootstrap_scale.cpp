@@ -19,16 +19,21 @@
 // In parallel, three full HarpEngines (cache off / cache on / cache+pool)
 // bootstrap cold (timed), absorb the same churn through request_demand,
 // and recompact() each round — their state_fingerprint()s are asserted
-// bit-identical throughout, and the fingerprint lands in the report so
-// scripts/bench_compare.py can pin cross-machine determinism too.
-// recompact() wall time is reported as context: it includes schedule
-// regeneration and state save/restore, which the cache does not touch.
+// bit-identical throughout. recompact() wall time is reported as context:
+// it includes schedule regeneration and state save/restore, which the
+// cache does not touch.
+//
+// The bench checks itself and exits non-zero when a check fails: each
+// scale's fingerprint must equal its pinned literal (seed-determined, so
+// the same on every machine), and the same-run speedups must clear their
+// floors — cached >= 1.0 at the smallest scale (the slim memo mode must
+// never make small trees slower than scratch, docs/PERFORMANCE.md "Slim
+// passes for small trees"), cached >= 1.8 and parallel >= 2.5 at the
+// largest.
 //
 // The JSON report (harp-obs/1) carries results.scale.nodes_<N> blocks
 // plus a results.compose_cache summary (totals of the serial rig memos
-// across all scales); BENCH_bootstrap_scale.json is the checked-in
-// baseline the CI bench gate compares against.
-#include <algorithm>
+// across all scales).
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -39,6 +44,7 @@
 #include "bench/bench_util.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "harp/compose_cache.hpp"
 #include "harp/engine.hpp"
 #include "harp/interface_gen.hpp"
@@ -68,20 +74,22 @@ constexpr int rounds_for(std::size_t num_nodes) {
                                                             : kRounds;
 }
 constexpr int kChurnOpsPerRound = 64;
-constexpr std::size_t kScales[] = {220, 1000, 5000, 10000};
+
+/// Each scale and the engine fingerprint its fixed workload ends in.
+struct Scale {
+  std::size_t nodes;
+  const char* fingerprint;
+};
+constexpr Scale kScales[] = {{220, "2c0dced05ef0c366"},
+                             {1000, "25d41faf0185f74e"},
+                             {5000, "192361e6fd3f0f82"},
+                             {10000, "0b84e17f55b42302"}};
 
 struct ChurnOp {
   NodeId child;
   Direction dir;
   int cells;
 };
-
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
 
 /// Slotframe sized for the echo workload at this scale: every node's task
 /// contributes one cell per link on its root path per direction, so about
@@ -143,13 +151,6 @@ std::vector<ChurnOp> churn_batch(const net::Topology& topo, Rng& rng) {
   return ops;
 }
 
-std::string fp_hex(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
 /// Asserts all engines agree on the full-state digest; the bench fails
 /// hard on divergence (that would mean the cache or the parallel path is
 /// not a pure accelerator).
@@ -161,8 +162,8 @@ void check_fingerprints(
     if (e->state_fingerprint() != want) {
       std::fprintf(stderr,
                    "FINGERPRINT DIVERGENCE (%s, %zu nodes): %s vs %s\n", when,
-                   nodes, fp_hex(want).c_str(),
-                   fp_hex(e->state_fingerprint()).c_str());
+                   nodes, bench::hex64(want).c_str(),
+                   bench::hex64(e->state_fingerprint()).c_str());
       std::exit(1);  // NOLINT(concurrency-mt-unsafe) pre-thread abort
     }
   }
@@ -186,9 +187,9 @@ void regenerate(const Workload& w, const net::TrafficMatrix& traffic,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args = bench::Args::parse(argc, argv);
-  // Bare hot path, as in perf_steady_state: phase timers and trace events
-  // off, counters stay on.
+  const bench::Args args = bench::Args::parse(argc, argv);
+  bench::Checks checks;
+  // Bare hot path: phase timers and trace events off, counters stay on.
   obs::disable();
 
   // One shared pool for every parallel variant (also exercises the
@@ -208,7 +209,8 @@ int main(int argc, char** argv) {
                      18);
 
   core::ComposeCache::Stats cache_total{};
-  for (const std::size_t num_nodes : kScales) {
+  for (const Scale& sc : kScales) {
+    const std::size_t num_nodes = sc.nodes;
     const Workload w = make_workload(num_nodes);
 
     // Full engines, one per variant, for the end-to-end determinism
@@ -244,8 +246,8 @@ int main(int argc, char** argv) {
 
     Rng churn_rng(derive_seed(kChurnSeed, num_nodes));
     const int rounds = rounds_for(num_nodes);
-    std::vector<double> gen_ms[3];
-    std::vector<double> recompact_ms[3];
+    Stats gen_ms[3];
+    Stats recompact_ms[3];
     for (int round = 0; round < rounds; ++round) {
       const std::vector<ChurnOp> ops = churn_batch(w.topo, churn_rng);
 
@@ -260,7 +262,7 @@ int main(int argc, char** argv) {
       for (std::size_t v = 0; v < engines.size(); ++v) {
         bench::Timer t;
         engines[v]->recompact();
-        recompact_ms[v].push_back(t.seconds() * 1e3);
+        recompact_ms[v].add(t.seconds() * 1e3);
       }
       check_fingerprints("recompact", num_nodes, engines);
 
@@ -296,7 +298,7 @@ int main(int argc, char** argv) {
         const Variant& v = timed[(round + k) % 3];
         bench::Timer t;
         regenerate(w, traffic, v.memo, v.p, *v.up, *v.down);
-        gen_ms[v.idx].push_back(t.seconds() * 1e3);
+        gen_ms[v.idx].add(t.seconds() * 1e3);
       }
       if (!(scratch_up == cached_up && scratch_down == cached_down &&
             scratch_up == par_up && scratch_down == par_down)) {
@@ -307,9 +309,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    const double scratch = median(gen_ms[0]);
-    const double cached = median(gen_ms[1]);
-    const double parallel = median(gen_ms[2]);
+    const double scratch = gen_ms[0].median();
+    const double cached = gen_ms[1].median();
+    const double parallel = gen_ms[2].median();
     const double speedup_cached = cached > 0.0 ? scratch / cached : 0.0;
     const double speedup_parallel =
         parallel > 0.0 ? scratch / parallel : 0.0;
@@ -339,12 +341,23 @@ int main(int argc, char** argv) {
     scale["bootstrap_scratch_ms"] = bootstrap_ms[0];
     scale["bootstrap_cached_ms"] = bootstrap_ms[1];
     scale["bootstrap_parallel_ms"] = bootstrap_ms[2];
-    scale["recompact_wall_scratch_ms"] = median(recompact_ms[0]);
-    scale["recompact_wall_cached_ms"] = median(recompact_ms[1]);
-    scale["recompact_wall_parallel_ms"] = median(recompact_ms[2]);
+    scale["recompact_wall_scratch_ms"] = recompact_ms[0].median();
+    scale["recompact_wall_cached_ms"] = recompact_ms[1].median();
+    scale["recompact_wall_parallel_ms"] = recompact_ms[2].median();
     scale["cache_hits"] = static_cast<std::int64_t>(stats.hits);
     scale["cache_misses"] = static_cast<std::int64_t>(stats.misses);
-    scale["fingerprint"] = fp_hex(engines.front()->state_fingerprint());
+    const std::string fp = bench::hex64(engines.front()->state_fingerprint());
+    scale["fingerprint"] = fp;
+
+    const std::string label = "nodes_" + std::to_string(num_nodes);
+    checks.pin(label + " fingerprint", fp, sc.fingerprint);
+    if (&sc == &kScales[0]) {
+      checks.floor(label + " speedup_cached", speedup_cached, 1.0);
+    }
+    if (&sc == &kScales[std::size(kScales) - 1]) {
+      checks.floor(label + " speedup_cached", speedup_cached, 1.8);
+      checks.floor(label + " speedup_parallel", speedup_parallel, 2.5);
+    }
   }
 
   table.print();
@@ -362,5 +375,5 @@ int main(int argc, char** argv) {
                                   : 0.0;
 
   report.write();
-  return 0;
+  return checks.exit_code();
 }

@@ -1,9 +1,8 @@
 // Experiment P4 — rt event-loop microbench (docs/RUNTIME.md).
 //
-// Pins the three hot paths of the src/rt runtime introduced with the
-// event-driven protocol rework, each with a determinism checksum so the
-// CI bench gate (scripts/bench_compare.py, suite perf_rt_dispatch) can
-// separate "got slower" from "changed behavior":
+// Times the three hot paths of the src/rt runtime, each with a
+// determinism checksum, so "got slower" stays apart from "changed
+// behavior":
 //
 //   tasks    events/sec through Dispatcher::run_until_idle for chained
 //            ready tasks (the post -> step -> repost cycle every
@@ -25,34 +24,25 @@
 //            timed second. The runtime's converged state_fingerprint
 //            folds into the report checksum.
 //
-// Rates are medians over kRounds identical rounds; every round must
-// reproduce the same checksum or the bench fails hard, and the
-// `harp.rt.task_allocs` counter must end the run at exactly zero — one
-// boxed task on a steady-state path is a malloc per event at scale, so
-// the allocation-free contract is gated here, not trusted
-// (docs/RUNTIME.md "Timer wheel & task storage"). The JSON report
-// carries results.rt{events_per_sec, timer_ops_per_sec, msgs_per_sec,
-// task_allocs, fingerprint}; BENCH_rt_dispatch.json is the checked-in
-// baseline.
-//
-// Reference flags (the perf_steady_state --ref-* idiom):
-//   --ref-events <rate>   pre-wheel events_per_sec
-//   --ref-timer <rate>    pre-wheel timer_ops_per_sec
-//   --ref-msgs <rate>     pre-wheel msgs_per_sec
-// When given, the report embeds them under results.reference together
-// with the speedups vs this run; bench_compare.py holds the recorded
-// speedup_timer >= 3.0 and speedup_events >= 1.5 (hot path 6).
-#include <algorithm>
+// Rates are medians over kRounds identical rounds. The bench checks
+// itself and exits non-zero when a check fails: every round must
+// reproduce the same checksum, the combined fingerprint must equal its
+// pinned literal (also pinned in rt_test), and the `harp.rt.task_allocs`
+// counter must end the run at exactly zero — one boxed task on a
+// steady-state path is a malloc per event at scale (docs/RUNTIME.md
+// "Timer wheel & task storage"). The JSON report carries
+// results.rt{events_per_sec, timer_ops_per_sec, msgs_per_sec,
+// task_allocs, fingerprint}.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
 #include "obs/obs.hpp"
@@ -73,19 +63,8 @@ constexpr std::uint64_t kTaskEvents = 1'000'000;
 constexpr std::uint64_t kTimerBatch = 200'000;
 constexpr int kChurnOpsPerRound = 96;
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-}
-
-std::string fp_hex(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
+/// The combined fingerprint of the fixed workload (rt_test pins it too).
+constexpr const char* kFingerprint = "4e0f8d8479a347f7";
 
 /// Fails the bench on any cross-round checksum drift: a dispatcher whose
 /// event order varies run-to-run has lost the determinism contract, and
@@ -94,7 +73,7 @@ void expect_stable(const char* what, std::uint64_t want, std::uint64_t got,
                    int round) {
   if (want == got) return;
   std::fprintf(stderr, "CHECKSUM DRIFT (%s, round %d): %s vs %s\n", what,
-               round, fp_hex(want).c_str(), fp_hex(got).c_str());
+               round, bench::hex64(want).c_str(), bench::hex64(got).c_str());
   std::exit(1);  // NOLINT(concurrency-mt-unsafe) single-threaded bench
 }
 
@@ -198,45 +177,14 @@ std::uint64_t runtime_round(double& seconds, std::uint64_t& msgs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the reference flags before handing the rest to the shared
-  // parser (which rejects flags it does not know). A reference rate
-  // must be a positive number — a typo'd value silently recorded as 0
-  // would disable the speedup gate, so it is a hard usage error.
-  const auto parse_ref = [&](int& i, const char* flag) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: %s requires a value\n", argv[0], flag);
-      std::exit(2);
-    }
-    char* end = nullptr;
-    const double v = std::strtod(argv[++i], &end);
-    if (end == argv[i] || *end != '\0' || !(v > 0.0)) {
-      std::fprintf(stderr, "%s: %s expects a positive rate, got '%s'\n",
-                   argv[0], flag, argv[i]);
-      std::exit(2);
-    }
-    return v;
-  };
-  double ref_events = 0.0, ref_timer = 0.0, ref_msgs = 0.0;
-  std::vector<char*> rest{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ref-events") == 0) {
-      ref_events = parse_ref(i, "--ref-events");
-    } else if (std::strcmp(argv[i], "--ref-timer") == 0) {
-      ref_timer = parse_ref(i, "--ref-timer");
-    } else if (std::strcmp(argv[i], "--ref-msgs") == 0) {
-      ref_msgs = parse_ref(i, "--ref-msgs");
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  bench::Args args =
-      bench::Args::parse(static_cast<int>(rest.size()), rest.data());
+  const bench::Args args = bench::Args::parse(argc, argv);
+  bench::Checks checks;
   // Bare hot path: phase timers and trace events off, counters stay on
   // (the runtime section reads harp.rt.msgs_delivered and the
   // allocation gate reads harp.rt.task_allocs).
   obs::disable();
 
-  std::vector<double> task_rate, timer_rate, msg_rate;
+  Stats task_rate, timer_rate, msg_rate;
   std::uint64_t task_checksum = 0, timer_checksum = 0, runtime_fp = 0;
   std::uint64_t timer_ops = 0, runtime_msgs = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -244,21 +192,21 @@ int main(int argc, char** argv) {
     const std::uint64_t tc = task_round(s);
     if (round == 0) task_checksum = tc;
     expect_stable("tasks", task_checksum, tc, round);
-    task_rate.push_back(static_cast<double>(kTaskEvents) / s);
+    task_rate.add(static_cast<double>(kTaskEvents) / s);
 
     std::uint64_t ops = 0;
     const std::uint64_t wc = timer_round(s, ops);
     if (round == 0) timer_checksum = wc;
     expect_stable("timers", timer_checksum, wc, round);
     timer_ops = ops;
-    timer_rate.push_back(static_cast<double>(ops) / s);
+    timer_rate.add(static_cast<double>(ops) / s);
 
     std::uint64_t msgs = 0;
     const std::uint64_t fp = runtime_round(s, msgs);
     if (round == 0) runtime_fp = fp;
     expect_stable("runtime", runtime_fp, fp, round);
     runtime_msgs = msgs;
-    msg_rate.push_back(static_cast<double>(msgs) / s);
+    msg_rate.add(static_cast<double>(msgs) / s);
   }
 
   // The allocation-free contract, gated in-process: not one task was
@@ -266,17 +214,14 @@ int main(int argc, char** argv) {
   const std::uint64_t task_allocs =
       obs::MetricsRegistry::global().counter("harp.rt.task_allocs").value();
   if (task_allocs != 0) {
-    std::fprintf(stderr,
-                 "ALLOCATION GATE: harp.rt.task_allocs == %llu, expected 0 "
-                 "— a fat capture reached a steady-state path\n",
-                 static_cast<unsigned long long>(task_allocs));
-    std::exit(1);  // NOLINT(concurrency-mt-unsafe) single-threaded bench
+    checks.fail("harp.rt.task_allocs is " + std::to_string(task_allocs) +
+                ", expected 0: a fat capture reached a steady-state path");
   }
 
-  const double events_per_sec = median(task_rate);
-  const double timer_ops_per_sec = median(timer_rate);
-  const double msgs_per_sec = median(msg_rate);
-  // One digest for the gate: the task interleaving, the timer firing
+  const double events_per_sec = task_rate.median();
+  const double timer_ops_per_sec = timer_rate.median();
+  const double msgs_per_sec = msg_rate.median();
+  // One digest for the pin: the task interleaving, the timer firing
   // order, and the converged protocol state, folded in that order.
   std::uint64_t fp = kFnvOffset;
   fp = fnv1a_value(fp, task_checksum);
@@ -291,13 +236,7 @@ int main(int argc, char** argv) {
   table.row({"runtime msgs", std::to_string(runtime_msgs),
              bench::fmt(msgs_per_sec, 0)});
   table.print();
-  std::printf("fingerprint %s\n", fp_hex(fp).c_str());
-  if (ref_events > 0.0 && ref_timer > 0.0) {
-    std::printf("speedup vs reference: events %.2fx, timers %.2fx, "
-                "msgs %.2fx\n",
-                events_per_sec / ref_events, timer_ops_per_sec / ref_timer,
-                ref_msgs > 0.0 ? msgs_per_sec / ref_msgs : 0.0);
-  }
+  std::printf("fingerprint %s\n", bench::hex64(fp).c_str());
 
   bench::JsonReport report("perf_rt_dispatch", args);
   obs::Json& rt_out = report.results()["rt"];
@@ -311,21 +250,8 @@ int main(int argc, char** argv) {
   rt_out["timer_ops_per_sec"] = timer_ops_per_sec;
   rt_out["msgs_per_sec"] = msgs_per_sec;
   rt_out["task_allocs"] = static_cast<std::int64_t>(task_allocs);
-  rt_out["fingerprint"] = fp_hex(fp);
-  if (ref_events > 0.0 && ref_timer > 0.0) {
-    // The pre-wheel rates and this run's edge over them — the numbers
-    // bench_compare.py's speedup floors (timer >= 3x, events >= 1.5x)
-    // are anchored to when this report becomes the baseline.
-    obs::Json& reference = report.results()["reference"];
-    reference["events_per_sec"] = ref_events;
-    reference["timer_ops_per_sec"] = ref_timer;
-    reference["speedup_events"] = events_per_sec / ref_events;
-    reference["speedup_timer"] = timer_ops_per_sec / ref_timer;
-    if (ref_msgs > 0.0) {
-      reference["msgs_per_sec"] = ref_msgs;
-      reference["speedup_msgs"] = msgs_per_sec / ref_msgs;
-    }
-  }
+  rt_out["fingerprint"] = bench::hex64(fp);
   report.write();
-  return 0;
+  checks.pin("rt fingerprint", bench::hex64(fp), kFingerprint);
+  return checks.exit_code();
 }

@@ -79,9 +79,8 @@ PROVENANCE_INT_KEYS = ("jobs", "hw_threads")
 
 def check_provenance(path, prov, problems):
     """Validates a report's provenance block: which checkout, compiler and
-    build type produced the numbers. Required so a checked-in baseline is
-    never ambiguous about its origin (bench_compare.py names these fields
-    in its stale-reference warnings)."""
+    build type produced the numbers, so a report is never ambiguous about
+    its origin."""
     for key in PROVENANCE_STR_KEYS:
         value = prov.get(key)
         if not (isinstance(value, str) and value):
@@ -155,8 +154,8 @@ def check_rt_dispatch(path, section, problems):
     """Validates a perf_rt_dispatch results.rt block (docs/RUNTIME.md):
     the three throughput rates must be positive numbers, the workload
     counts non-negative integers, and the combined determinism
-    fingerprint 16 lowercase hex digits (the exact value is gated by
-    bench_compare.py; this check pins the shape)."""
+    fingerprint 16 lowercase hex digits (the bench itself checks the
+    exact value; this check pins the shape)."""
     for rate in RT_DISPATCH_RATE_KEYS:
         value = section.get(rate)
         if not (isinstance(value, (int, float))

@@ -146,7 +146,7 @@ class ComposeMemo {
   /// allocation (the serial interface pool stays usable). On small trees
   /// the content cache's bookkeeping costs more than the derivations it
   /// saves (the 220-node speedup_cached regression in
-  /// BENCH_bootstrap_scale.json); slim mode keeps the incremental win and
+  /// perf_bootstrap_scale); slim mode keeps the incremental win and
   /// drops the bookkeeping. Results are bit-identical in every mode.
   static constexpr std::size_t kDefaultFullThreshold = 512;
 

@@ -195,6 +195,8 @@ Message decode(const std::vector<std::uint8_t>& bytes) {
       break;
     }
     case MsgType::kReject: {
+      // encode() always writes 1: any other count has no canonical form.
+      if (count != 1) throw Error("REJECT item_count must be 1");
       RejectPayload p;
       p.layer = r.u8();
       p.dir = dir_from(r.u8());

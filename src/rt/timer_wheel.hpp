@@ -5,7 +5,7 @@
 // RTO timer that the ack almost always cancels a few events later. On
 // the old binary-heap TimerQueue that left ~33% of the heap as lazily
 // cancelled garbage and paid one std::map node allocation per schedule
-// (BENCH_rt_dispatch: 470k of 1.4M timers cancelled). The wheel is built
+// (perf_rt_dispatch: 470k of 1.4M timers cancelled). The wheel is built
 // for exactly this short-horizon churn:
 //
 //   * O(1) schedule: the deadline hashes to one of kLevels x kSlots

@@ -27,7 +27,8 @@ constexpr std::uint64_t kTestbedRtFp = 0xb9009b3542c27290;
 constexpr std::uint64_t kPlantEngineFp = 0x57ee8677f26ac60a;
 constexpr std::uint64_t kPlantRtFp = 0xe6bf455d5b540306;
 
-/// The 220-node, 7-layer plant of bench/perf_steady_state (seed 42).
+/// The seed-42 220-node, 7-layer plant in its 1999x16 frame (the one
+/// DataPlane.InterferedPlantChecksumIsPinned in sim_test runs).
 core::HarpEngine plant_engine(core::EngineOptions options) {
   Rng rng(42);
   net::Topology topo = net::random_tree(

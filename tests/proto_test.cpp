@@ -102,6 +102,78 @@ TEST(Codec, RejectsMalformedInput) {
   EXPECT_THROW(decode(bytes), Error);  // trailing
 }
 
+TEST(Codec, RejectWithItemCountOtherThanOneIsRejected) {
+  Message msg;
+  msg.type = MsgType::kReject;
+  msg.payload = RejectPayload{2, Direction::kDown};
+  auto bytes = encode(msg);
+  ASSERT_NO_THROW(decode(bytes));
+  for (const std::uint8_t count : {0, 2}) {
+    bytes[9] = count;  // item_count, low byte
+    EXPECT_THROW(decode(bytes), Error) << "item_count " << int{count};
+  }
+}
+
+TEST(Codec, MutatedBytesThrowOrReencodeIdentically) {
+  // Flip, truncate and extend encoded messages of every type: decode
+  // either rejects the bytes or accepts exactly the canonical encoding.
+  Rng rng(321);
+  const auto seeds = [] {
+    std::vector<Message> out;
+    Message m;
+    m.src = 3;
+    m.dst = 1;
+    for (const MsgType t : {MsgType::kPostIntf, MsgType::kPutIntf}) {
+      m.type = t;
+      m.payload = IntfPayload{{{1, Direction::kUp, 12, 3},
+                               {2, Direction::kDown, 5, 1}}};
+      out.push_back(m);
+    }
+    for (const MsgType t : {MsgType::kPostPart, MsgType::kPutPart}) {
+      m.type = t;
+      m.payload = PartPayload{{{1, Direction::kUp, 12, 3, 40, 2}}};
+      out.push_back(m);
+    }
+    m.type = MsgType::kCellAssign;
+    m.payload = CellAssignPayload{
+        {{Direction::kUp, 7, 1}, {Direction::kDown, 9, 0}}, 3};
+    out.push_back(m);
+    m.type = MsgType::kReject;
+    m.payload = RejectPayload{4, Direction::kUp};
+    out.push_back(m);
+    return out;
+  }();
+  int accepted = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const Message& seed = seeds[rng.below(seeds.size())];
+    auto bytes = encode(seed);
+    switch (rng.below(3)) {
+      case 0:  // flip 1-3 random bits
+        for (std::uint64_t k = 1 + rng.below(3); k-- > 0;) {
+          bytes[rng.below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      case 1:  // truncate
+        bytes.resize(rng.below(bytes.size()));
+        break;
+      default:  // extend with random bytes
+        for (std::uint64_t k = 1 + rng.below(8); k-- > 0;) {
+          bytes.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        }
+    }
+    Message back;
+    try {
+      back = decode(bytes);
+    } catch (const Error&) {
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(encode(back), bytes) << "iteration " << iter;
+  }
+  EXPECT_GT(accepted, 0);  // some mutations land on free fields
+}
+
 TEST(Codec, InterfaceMessagesFitOneFrame) {
   // A 10-layer interface (deepest realistic tree in the paper) must ride a
   // single 802.15.4 frame — the compactness property of Sec. IV-A.

@@ -311,7 +311,7 @@ TEST(RtRuntime, NegativeDemandsAreRejectedBeforeAnyStateChange) {
 
 // perf_rt_dispatch's runtime round. The bench folds this round's
 // fingerprint after its task and timer section checksums (which involve
-// no agent) into the "fingerprint" of BENCH_rt_dispatch.json.
+// no agent) into its combined fingerprint, which it pins as well.
 TEST(RtRuntime, DispatchBenchChurnRoundFingerprintIsPinned) {
   const Net n = echo_net(net::testbed_tree());
   constexpr std::uint64_t kSeed = 7;

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
@@ -180,6 +181,43 @@ TEST(DataPlane, RejectsBadConfig) {
   bad_tasks[0].source = 0;
   EXPECT_THROW(DataPlane(c.topo, bad_tasks, {frame(), 1.0, 128}, 1),
                InvalidArgument);
+}
+
+TEST(DataPlane, InterferedPlantChecksumIsPinned) {
+  // The seed-42 220-node 7-layer plant under its bootstrap schedule, PDR
+  // 0.97 and 48 narrowband bursts cycling over the channels, run for 5 +
+  // 300 frames: every packet and transmission count of the slot loop.
+  obs::Context ctx;
+  const obs::ScopedContext scoped(ctx);
+  Rng topo_rng(42);
+  const auto topo = net::random_tree(
+      {.num_nodes = 220, .num_layers = 7, .max_children = 4}, topo_rng);
+  net::SlotframeConfig f;
+  f.length = 1999;
+  f.num_channels = 16;
+  f.data_slots = 1930;
+  const auto tasks = net::uniform_echo_tasks(topo, f.length);
+  const core::HarpEngine engine(topo, tasks, f);
+  DataPlane data(topo, tasks, {f, 0.97, 128}, 7);
+  data.set_schedule(engine.schedule());
+  for (int k = 0; k < 48; ++k) {
+    data.add_interference(static_cast<ChannelId>(k % f.num_channels),
+                          static_cast<AbsoluteSlot>(k) * 5000,
+                          static_cast<AbsoluteSlot>(k) * 5000 + 2000, 0.85);
+  }
+  data.run_frames(5);
+  data.run_frames(300);
+
+  EXPECT_EQ(data.metrics().total_generated(), 66795u);
+  EXPECT_EQ(data.metrics().total_delivered(), 44276u);
+  EXPECT_EQ(data.metrics().total_dropped(), 19813u);
+  EXPECT_EQ(data.metrics().total_deadline_misses(), 40604u);
+  // The slot loop's counters stay on when HARP_OBS=OFF compiles out
+  // tracing and timers, so they are checked in every build.
+  EXPECT_EQ(ctx.metrics.counter("harp.sim.tx_attempts").value(), 611119u);
+  EXPECT_EQ(ctx.metrics.counter("harp.sim.tx_success").value(), 591789u);
+  EXPECT_EQ(ctx.metrics.counter("harp.sim.tx_collisions").value(), 0u);
+  EXPECT_EQ(ctx.metrics.counter("harp.sim.tx_link_loss").value(), 19330u);
 }
 
 // ------------------------------------------------------------- mgmt plane
