@@ -2,7 +2,7 @@
 //
 // Pins the tentpole of the scale-out work: full hierarchy recomputation —
 // bottom-up interface generation for both directions (Alg. 1), the phase
-// the compose cache memoizes and the worker pool parallelizes — at
+// the compose memo makes incremental and the worker pool parallelizes — at
 // 220 / 1k / 5k / 10k nodes, measured three ways on identical inputs:
 //   scratch   no memo, serial            — the pre-change from-scratch
 //             path, kept callable so every run carries its own baseline;
@@ -21,15 +21,14 @@
 // and recompact() each round — their state_fingerprint()s are asserted
 // bit-identical throughout. recompact() wall time is reported as context:
 // it includes schedule regeneration and state save/restore, which the
-// cache does not touch.
+// memo does not touch.
 //
 // The bench checks itself and exits non-zero when a check fails: each
 // scale's fingerprint must equal its pinned literal (seed-determined, so
 // the same on every machine), and the same-run speedups must clear their
-// floors — cached >= 1.0 at the smallest scale (the slim memo mode must
-// never make small trees slower than scratch, docs/PERFORMANCE.md "Slim
-// passes for small trees"), cached >= 1.8 and parallel >= 2.5 at the
-// largest.
+// floors — cached >= 1.0 at the smallest scale (the memo must never make
+// small trees slower than scratch), cached >= 1.8 and parallel >= 2.5 at
+// the largest.
 //
 // The JSON report (harp-obs/1) carries results.scale.nodes_<N> blocks
 // plus a results.compose_cache summary (totals of the serial rig memos
@@ -152,7 +151,7 @@ std::vector<ChurnOp> churn_batch(const net::Topology& topo, Rng& rng) {
 }
 
 /// Asserts all engines agree on the full-state digest; the bench fails
-/// hard on divergence (that would mean the cache or the parallel path is
+/// hard on divergence (that would mean the memo or the parallel path is
 /// not a pure accelerator).
 void check_fingerprints(
     const char* when, std::size_t nodes,
@@ -208,7 +207,7 @@ int main(int argc, char** argv) {
                       "speedup cached", "speedup parallel"},
                      18);
 
-  core::ComposeCache::Stats cache_total{};
+  core::ComposeMemo::Stats cache_total{};
   for (const Scale& sc : kScales) {
     const std::size_t num_nodes = sc.nodes;
     const Workload w = make_workload(num_nodes);
@@ -237,8 +236,8 @@ int main(int argc, char** argv) {
     // for the same invalidated chains.
     net::TrafficMatrix traffic = net::derive_traffic(w.topo, w.tasks,
                                                      w.frame);
-    core::ComposeMemo memo_serial(w.topo.size(), 1 << 16);
-    core::ComposeMemo memo_par(w.topo.size(), 1 << 16);
+    core::ComposeMemo memo_serial(w.topo.size());
+    core::ComposeMemo memo_par(w.topo.size());
     core::InterfaceSet scratch_up, scratch_down, cached_up, cached_down,
         par_up, par_down;
     regenerate(w, traffic, &memo_serial, nullptr, cached_up, cached_down);
@@ -316,12 +315,10 @@ int main(int argc, char** argv) {
     const double speedup_parallel =
         parallel > 0.0 ? scratch / parallel : 0.0;
 
-    const core::ComposeCache::Stats stats = memo_serial.cache().stats();
+    const core::ComposeMemo::Stats stats = memo_serial.stats();
     cache_total.hits += stats.hits;
     cache_total.misses += stats.misses;
-    cache_total.inserts += stats.inserts;
     cache_total.invalidations += stats.invalidations;
-    cache_total.evictions += stats.evictions;
 
     table.row({std::to_string(num_nodes), bench::fmt(scratch, 3),
                bench::fmt(cached, 3), bench::fmt(parallel, 3),
@@ -365,10 +362,8 @@ int main(int argc, char** argv) {
   obs::Json& cache = results["compose_cache"];
   cache["hits"] = static_cast<std::int64_t>(cache_total.hits);
   cache["misses"] = static_cast<std::int64_t>(cache_total.misses);
-  cache["inserts"] = static_cast<std::int64_t>(cache_total.inserts);
   cache["invalidations"] =
       static_cast<std::int64_t>(cache_total.invalidations);
-  cache["evictions"] = static_cast<std::int64_t>(cache_total.evictions);
   const std::uint64_t lookups = cache_total.hits + cache_total.misses;
   cache["hit_rate"] = lookups > 0 ? static_cast<double>(cache_total.hits) /
                                         static_cast<double>(lookups)

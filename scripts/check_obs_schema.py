@@ -46,14 +46,13 @@ def documented_names(doc_text):
 FLEET_KEYS = ("trials", "jobs", "base_seed", "fingerprint", "wall_seconds")
 SUMMARY_KEYS = ("count", "mean", "stddev", "min", "max", "median", "p95",
                 "ci95")
-COMPOSE_CACHE_COUNTERS = ("hits", "misses", "inserts", "invalidations",
-                          "evictions")
+COMPOSE_CACHE_COUNTERS = ("hits", "misses", "invalidations")
 
 
 def check_compose_cache(path, section, problems):
     """Validates a results.compose_cache summary (emitted by benches that
     drive the subtree-interface memoization, docs/PERFORMANCE.md): the
-    five running totals must be non-negative integers and hit_rate a
+    three running totals must be non-negative integers and hit_rate a
     fraction in [0, 1]."""
     for key in COMPOSE_CACHE_COUNTERS:
         value = section.get(key)

@@ -95,11 +95,12 @@ std::string check_restored(const core::InterfaceSet& ifs_before,
                            const core::Schedule& sched_after);
 
 /// Memoization soundness: an interface set produced with the subtree
-/// compose cache (harp/compose_cache.hpp) must be byte-identical to a
-/// from-scratch regeneration under the same inputs — hits are pure
-/// lookups, never approximations. Re-derives the whole set without the
-/// cache (expensive: the engine samples it on power-of-two recomputation
-/// counts under HARP_AUDIT) and reports the first diverging node/layer.
+/// compose memo (harp/compose_cache.hpp) must be byte-identical to a
+/// from-scratch regeneration under the same inputs — a node left valid
+/// must hold exactly what re-deriving it would give. Re-derives the whole
+/// set without the memo (expensive: the engine samples it on power-of-two
+/// recomputation counts under HARP_AUDIT) and reports the first diverging
+/// node/layer.
 std::string check_compose_cache(const net::Topology& topo,
                                 const net::TrafficMatrix& traffic,
                                 Direction dir, int num_channels,

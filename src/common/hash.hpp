@@ -3,7 +3,7 @@
 // Every determinism oracle that must compare across processes, machines
 // and thread counts (engine state fingerprints, experiment-fleet result
 // digests, the multi-tenant fleet fingerprint) hashes integers through
-// this one function, so a digest printed by a bench baseline matches a
+// this one function, so a digest pinned in a test or bench matches a
 // digest computed anywhere else. Header-only and dependency-free on
 // purpose: both the lowest layers (src/harp) and the orchestration layers
 // (src/runner, src/fleet) fold into it without linking each other.

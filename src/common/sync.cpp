@@ -13,8 +13,9 @@ std::atomic<LockOrderReporter> g_reporter{nullptr};
 
 #if HARP_LOCK_RANK_ENABLED
 
-/// Deepest realistic nesting is 2 (pool dispatch + compose cache); 16
-/// leaves room without making the thread_local footprint interesting.
+/// Realistic nesting is shallow (a coarser lock held while posting to the
+/// rt inbox); 16 leaves room without making the thread_local footprint
+/// interesting.
 constexpr int kMaxHeldLocks = 16;
 
 struct HeldStack {

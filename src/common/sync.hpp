@@ -45,9 +45,6 @@ enum class LockRank : std::uint32_t {
   kFleetShard = 100,
   /// runner::WorkerPool batch state (dispatch/completion handshake).
   kWorkerPool = 200,
-  /// core::ComposeCache content map — taken by pool workers during
-  /// parallel interface generation (hence above kWorkerPool).
-  kComposeCache = 300,
   /// rt::Dispatcher cross-thread inbox — held only around post/drain
   /// queue swaps; producers may hold any of the ranks above while
   /// posting, so it sits below only the obs intern leaf.

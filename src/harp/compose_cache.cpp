@@ -1,74 +1,16 @@
 #include "harp/compose_cache.hpp"
 
-#include <algorithm>
-
 namespace harp::core {
 
-ComposeCache::ComposeCache(std::size_t max_entries)
-    : max_entries_(std::max<std::size_t>(max_entries, 1)) {}
-
-std::shared_ptr<const ComposeCache::Entry> ComposeCache::find(
-    std::uint64_t key) const {
-  std::shared_ptr<const Entry> entry;
-  {
-    MutexLock lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) entry = it->second;
-  }
-  if (entry) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return entry;
-}
-
-void ComposeCache::insert(std::uint64_t key,
-                          std::shared_ptr<const Entry> entry) {
-  MutexLock lock(mu_);
-  if (map_.size() >= max_entries_ && !map_.contains(key)) {
-    map_.clear();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (map_.emplace(key, std::move(entry)).second) {
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-ComposeCache::Stats ComposeCache::stats() const {
-  return Stats{hits_.load(std::memory_order_relaxed),
-               misses_.load(std::memory_order_relaxed),
-               inserts_.load(std::memory_order_relaxed),
-               invalidations_.load(std::memory_order_relaxed),
-               evictions_.load(std::memory_order_relaxed)};
-}
-
-std::size_t ComposeCache::size() const {
-  MutexLock lock(mu_);
-  return map_.size();
-}
-
-void ComposeCache::clear() {
-  MutexLock lock(mu_);
-  map_.clear();
-}
-
-ComposeMemo::ComposeMemo(std::size_t num_nodes, std::size_t max_entries)
-    : cache_(max_entries) {
-  resize(num_nodes);
-}
+ComposeMemo::ComposeMemo(std::size_t num_nodes) { resize(num_nodes); }
 
 void ComposeMemo::resize(std::size_t num_nodes) {
-  for (int d = 0; d < 2; ++d) {
-    fp_[d].resize(num_nodes, 0);
-    valid_[d].resize(num_nodes, 0);
-  }
+  for (std::vector<std::uint8_t>& v : valid_) v.resize(num_nodes, 0);
 }
 
 void ComposeMemo::invalidate_chain(const net::Topology& topo, Direction dir,
                                    NodeId node) {
   std::vector<std::uint8_t>& v = valid_[static_cast<int>(dir)];
-  std::uint64_t count = 0;
   // Staleness is upward-closed above any node a chain invalidated, so the
   // first already-stale ANCESTOR proves the rest of the chain is stale
   // too. The start node itself gets no such early stop: a freshly
@@ -78,69 +20,46 @@ void ComposeMemo::invalidate_chain(const net::Topology& topo, Direction dir,
     if (n >= v.size()) break;
     if (v[n] != 0) {
       v[n] = 0;
-      ++count;
+      ++stats_.invalidations;
     } else if (n != node) {
       break;
     }
   }
-  if (count > 0) cache_.note_invalidations(count);
+}
+
+void ComposeMemo::drop_all(int d) {
+  for (std::uint8_t& b : valid_[d]) {
+    stats_.invalidations += b;
+    b = 0;
+  }
 }
 
 bool ComposeMemo::begin_pass(const net::Topology& topo, Direction dir,
-                             int num_channels, int own_slack, bool slim) {
+                             int num_channels, int own_slack) {
   const int d = static_cast<int>(dir);
-  if (!slim && fp_stale_[d]) {
-    // Slim passes refreshed content without refreshing fingerprints; a
-    // full pass must not mix those stale fingerprints into parent cache
-    // keys. Drop the bits so every fingerprint is recomputed bottom-up.
-    std::vector<std::uint8_t>& v = valid_[d];
-    std::uint64_t count = 0;
-    for (std::uint8_t& b : v) {
-      count += b;
-      b = 0;
-    }
-    if (count > 0) cache_.note_invalidations(count);
-    fp_stale_[d] = false;
-  }
-  if (slim) fp_stale_[d] = true;
-  PassKey& key = key_[static_cast<int>(dir)];
+  PassKey& key = key_[d];
   if (key.set && key.num_channels == num_channels &&
       key.own_slack == own_slack) {
     if (key.topo_uid == topo.uid()) return false;
     key.topo_uid = topo.uid();
     return true;
   }
-  std::vector<std::uint8_t>& v = valid_[static_cast<int>(dir)];
-  std::uint64_t count = 0;
-  for (std::uint8_t& b : v) {
-    count += b;
-    b = 0;
-  }
-  if (count > 0) cache_.note_invalidations(count);
+  drop_all(d);
   key = {topo.uid(), num_channels, own_slack, true};
   return true;
 }
 
-ComposeCache::Stats ComposeMemo::take_stats_delta() {
-  const ComposeCache::Stats now = cache_.stats();
-  const ComposeCache::Stats delta{
-      now.hits - stats_base_.hits, now.misses - stats_base_.misses,
-      now.inserts - stats_base_.inserts,
-      now.invalidations - stats_base_.invalidations,
-      now.evictions - stats_base_.evictions};
-  stats_base_ = now;
+ComposeMemo::Stats ComposeMemo::take_stats_delta() {
+  const Stats delta{stats_.hits - stats_base_.hits,
+                    stats_.misses - stats_base_.misses,
+                    stats_.invalidations - stats_base_.invalidations};
+  stats_base_ = stats_;
   return delta;
 }
 
 void ComposeMemo::invalidate_all() {
-  std::uint64_t count = 0;
-  for (int d = 0; d < 2; ++d) {
-    for (std::uint8_t& v : valid_[d]) {
-      count += v;
-      v = 0;
-    }
-  }
-  if (count > 0) cache_.note_invalidations(count);
+  drop_all(0);
+  drop_all(1);
 }
 
 }  // namespace harp::core

@@ -37,7 +37,7 @@ struct EngineObsIds {
   obs::InstrumentId leaves;
   obs::InstrumentId roams;
   obs::InstrumentId recompactions;
-  obs::InstrumentId cache[5];
+  obs::InstrumentId cache[3];
 };
 
 struct EngineObs {
@@ -48,8 +48,8 @@ struct EngineObs {
   obs::Counter* leaves;
   obs::Counter* roams;
   obs::Counter* recompactions;
-  /// hits, misses, inserts, invalidations, evictions — in Stats order.
-  obs::Counter* cache[5];
+  /// hits, misses, invalidations — in Stats order.
+  obs::Counter* cache[3];
 };
 
 EngineObs engine_obs() {
@@ -67,9 +67,7 @@ EngineObs engine_obs() {
       obs::intern_counter("harp.engine.recompactions"),
       {obs::intern_counter("harp.compose_cache.hits"),
        obs::intern_counter("harp.compose_cache.misses"),
-       obs::intern_counter("harp.compose_cache.inserts"),
-       obs::intern_counter("harp.compose_cache.invalidations"),
-       obs::intern_counter("harp.compose_cache.evictions")},
+       obs::intern_counter("harp.compose_cache.invalidations")},
   };
   auto& reg = obs::MetricsRegistry::global();
   return EngineObs{
@@ -83,8 +81,7 @@ EngineObs engine_obs() {
       &reg.counter(ids.roams),
       &reg.counter(ids.recompactions),
       {&reg.counter(ids.cache[0]), &reg.counter(ids.cache[1]),
-       &reg.counter(ids.cache[2]), &reg.counter(ids.cache[3]),
-       &reg.counter(ids.cache[4])},
+       &reg.counter(ids.cache[2])},
   };
 }
 
@@ -120,22 +117,14 @@ const char* to_string(AdjustmentKind k) {
   return "?";
 }
 
-std::set<NodeId> AdjustmentReport::involved() const {
-  std::set<NodeId> out;
-  for (const ProtocolMessage& m : messages) {
-    out.insert(m.from);
-    out.insert(m.to);
-  }
-  return out;
-}
-
 int AdjustmentReport::layers_spanned(const net::Topology& topo) const {
-  const auto nodes = involved();
-  if (nodes.empty()) return 0;
+  if (messages.empty()) return 0;
   int lo = 1 << 30, hi = -1;
-  for (NodeId v : nodes) {
-    lo = std::min(lo, topo.node_layer(v));
-    hi = std::max(hi, topo.node_layer(v));
+  for (const ProtocolMessage& m : messages) {
+    for (NodeId v : {m.from, m.to}) {
+      lo = std::min(lo, topo.node_layer(v));
+      hi = std::max(hi, topo.node_layer(v));
+    }
   }
   return std::max(hi - lo, 1);
 }
@@ -155,10 +144,7 @@ HarpEngine::HarpEngine(net::Topology topo, net::TrafficMatrix traffic,
   }
   if (options_.own_slack < 0) throw InvalidArgument("own_slack must be >= 0");
   if (options_.compose_cache) {
-    // Capacity 4N: one entry per node/direction in steady state plus churn
-    // margin, so the bulk eviction stays rare.
-    memo_ = std::make_unique<ComposeMemo>(
-        topo_.size(), std::max<std::size_t>(1024, 4 * topo_.size()));
+    memo_ = std::make_unique<ComposeMemo>(topo_.size());
   }
   if (options_.pool != nullptr) {
     pool_ = options_.pool;
@@ -204,7 +190,7 @@ void HarpEngine::bootstrap() {
   if (memo_) publish_cache_stats();
 #if HARP_AUDIT_ENABLED
   // The soundness oracle regenerates both interface sets from scratch —
-  // as expensive as what the cache saves — so it samples with exponential
+  // as expensive as what the memo saves — so it samples with exponential
   // backoff: power-of-two recomputation counts only.
   if (memo_ && (recompute_count_ & (recompute_count_ - 1)) == 0) {
     HARP_AUDIT("engine.compose_cache",
@@ -230,7 +216,7 @@ void HarpEngine::set_demand(NodeId child, Direction dir, int cells) {
   // The demand of `child`'s link is an input of every ancestor interface
   // starting at the parent (whose own-layer component sums it). Rollback
   // writes land here too — conservative re-invalidation is harmless: the
-  // fingerprint recomputes to its old value and hits the cache.
+  // chain re-derives to the same content.
   if (memo_) memo_->invalidate_chain(topo_, dir, topo_.parent(child));
 }
 
@@ -238,21 +224,19 @@ void HarpEngine::publish_cache_stats() {
   // The memo anchors the per-pass baseline itself (take_stats_delta), so
   // the published numbers cover exactly the work since the last publish —
   // even across topology swaps that rebuild or reset memo state.
-  const ComposeCache::Stats d = memo_->take_stats_delta();
+  const ComposeMemo::Stats d = memo_->take_stats_delta();
   const EngineObs eobs = engine_obs();
   eobs.cache[0]->inc(d.hits);
   eobs.cache[1]->inc(d.misses);
-  eobs.cache[2]->inc(d.inserts);
-  eobs.cache[3]->inc(d.invalidations);
-  eobs.cache[4]->inc(d.evictions);
+  eobs.cache[2]->inc(d.invalidations);
   HARP_OBS_EVENT({.type = obs::EventType::kComposeCache,
                   .a = static_cast<std::uint32_t>(d.hits),
                   .b = static_cast<std::uint32_t>(d.misses),
-                  .value = d.inserts});
+                  .value = d.invalidations});
 }
 
-ComposeCache::Stats HarpEngine::compose_cache_stats() const {
-  return memo_ ? memo_->cache().stats() : ComposeCache::Stats{};
+ComposeMemo::Stats HarpEngine::compose_cache_stats() const {
+  return memo_ ? memo_->stats() : ComposeMemo::Stats{};
 }
 
 void HarpEngine::rebuild_schedule() {
@@ -514,9 +498,9 @@ HarpEngine::TopoChangeReport HarpEngine::attach_leaf(NodeId parent,
   topo_ = topo_.with_leaf(parent);
   const NodeId node = static_cast<NodeId>(topo_.size() - 1);
   if (memo_) {
-    // The parent's child list changed (its fingerprint mixes child ids,
-    // and it may just have stopped being a leaf), so its whole ancestor
-    // chain is stale in both directions.
+    // The parent's child list changed (and it may just have stopped
+    // being a leaf), so its whole ancestor chain is stale in both
+    // directions.
     memo_->resize(topo_.size());
     memo_->invalidate_chain(topo_, Direction::kUp, parent);
     memo_->invalidate_chain(topo_, Direction::kDown, parent);

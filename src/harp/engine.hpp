@@ -74,8 +74,6 @@ struct AdjustmentReport {
   /// Subtree partitions whose placement changed, excluding the
   /// requester's own (each costs a PUT-part and possibly propagation).
   int partitions_moved{0};
-  /// Nodes that sent or received at least one message.
-  std::set<NodeId> involved() const;
   /// Tree layers spanned by the message exchange (Table II "Layers"):
   /// distance between the deepest and shallowest nodes involved, >= 1.
   int layers_spanned(const net::Topology& topo) const;
@@ -87,9 +85,10 @@ struct EngineOptions {
   /// that let small traffic increases resolve locally. 0 = exact fit.
   int own_slack = 0;
   /// Memoize subtree interfaces across full recomputations (bootstrap,
-  /// recompact): unchanged subtrees are copied from the compose cache
-  /// instead of re-running Alg. 1. Pure accelerator — the produced state
-  /// is bit-identical either way (audited by check_compose_cache).
+  /// recompact): a recomputation re-derives only the ancestor chains of
+  /// the links that changed since the last one and keeps every other
+  /// subtree's interface. Pure accelerator — the produced state is
+  /// bit-identical either way (audited by check_compose_cache).
   bool compose_cache = true;
   /// Worker threads for from-scratch interface generation: 1 = serial
   /// (default), 0 = all hardware threads, n = exactly n. Also a pure
@@ -186,9 +185,9 @@ class HarpEngine {
   /// `jobs` value (tests/compose_cache_test.cpp, bench gate).
   std::uint64_t state_fingerprint() const;
 
-  /// Compose-cache totals since construction; zeros when the cache is
+  /// Compose-memo totals since construction; zeros when the memo is
   /// disabled.
-  ComposeCache::Stats compose_cache_stats() const;
+  ComposeMemo::Stats compose_cache_stats() const;
 
   /// Cells currently held by scheduling partitions (reservations included)
   /// versus the task set's true demand — the fragmentation/over-reserve
@@ -215,10 +214,10 @@ class HarpEngine {
   void bootstrap();
   void rebuild_schedule();
   /// Sets one link demand and invalidates the compose memo along the
-  /// parent's ancestor chain (every fingerprint that mixes this demand).
+  /// parent's ancestor chain (every interface this demand feeds).
   /// All engine-side demand writes go through here.
   void set_demand(NodeId child, Direction dir, int cells);
-  /// Publishes the cache-stat deltas since the previous generation pass:
+  /// Publishes the memo-stat deltas since the previous generation pass:
   /// `harp.compose_cache.*` counters plus one `compose_cache` trace event.
   void publish_cache_stats();
   /// Incremental counterpart of rebuild_schedule(): re-derives only the

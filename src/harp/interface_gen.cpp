@@ -44,33 +44,6 @@ struct InterfacePool {
   std::size_t next{0};
 };
 
-/// Content fingerprint of the inputs determining `node`'s from-scratch
-/// interface in `dir`: composition parameters, ordered child ids, each
-/// child's demand and — for non-leaf children — subtree fingerprint
-/// (which must already be current: bottom-up processing guarantees it).
-/// Leaf children mix a distinct tag instead, so a leaf and an
-/// empty-interface subtree cannot alias.
-std::uint64_t subtree_fingerprint(const net::Topology& topo,
-                                  const net::TrafficMatrix& traffic,
-                                  Direction dir, int num_channels,
-                                  int own_slack, NodeId node,
-                                  const std::vector<std::uint64_t>& fp) {
-  std::uint64_t h = fp_mix(kFpSeed, static_cast<std::uint64_t>(dir));
-  h = fp_mix(h, static_cast<std::uint64_t>(num_channels));
-  h = fp_mix(h, static_cast<std::uint64_t>(own_slack));
-  for (NodeId child : topo.children(node)) {
-    h = fp_mix(h, child);
-    h = fp_mix(h, static_cast<std::uint64_t>(traffic.demand(child, dir)));
-    if (topo.is_leaf(child)) {
-      h = fp_mix(h, 1);
-    } else {
-      h = fp_mix(h, 2);
-      h = fp_mix(h, fp[child]);
-    }
-  }
-  return h;
-}
-
 /// Alg. 1 for one node (Cases 1 and 2), writing into `ifs`. Children's
 /// entries must be final; the node's own entry must be clear (incremental
 /// passes clear stale nodes before re-deriving).
@@ -189,28 +162,19 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
   }
   InterfaceSet ifs;
 
-  std::vector<std::uint64_t>* fp = nullptr;
   std::vector<std::uint8_t>* valid = nullptr;
-  ComposeCache* cache = nullptr;
-  // Small trees run the memo in SLIM mode: validity bits still skip every
-  // unchanged subtree, but stale nodes skip the fingerprint/content-cache
-  // machinery whose bookkeeping costs more than it saves below the
-  // threshold (ComposeMemo::kDefaultFullThreshold).
-  const bool slim = memo != nullptr && memo->slim_pass(topo.size());
   if (memo != nullptr) {
     memo->resize(topo.size());
     const bool structure_changed =
-        memo->begin_pass(topo, dir, num_channels, own_slack, slim);
-    fp = &memo->fingerprints(dir);
+        memo->begin_pass(topo, dir, num_channels, own_slack);
     valid = &memo->valid(dir);
-    cache = &memo->cache();
     // Incremental regeneration: take over the pristine result of the last
-    // pass and rewrite only the stale nodes. Nodes whose fingerprint is
-    // still valid keep their content without a single write, and when the
-    // caller released its previous result first the node table is updated
-    // in place — no clone, no per-node refcount traffic. Should the memo
-    // have lost its result (a previous pass died mid-way), the validity
-    // bits no longer have content behind them: drop them all.
+    // pass and rewrite only the stale nodes. Still-valid nodes keep their
+    // content without a single write, and when the caller released its
+    // previous result first the node table is updated in place — no
+    // clone, no per-node refcount traffic. Should the memo have lost its
+    // result (a previous pass died mid-way), the validity bits no longer
+    // have content behind them: drop them all.
     ifs = std::move(memo->last_result(dir));
     if (ifs.num_nodes() == 0 && topo.size() > 0) {
       valid->assign(valid->size(), 0);
@@ -228,67 +192,44 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
     ifs = InterfaceSet(topo.size());
   }
 
-  // From-scratch serial passes allocate all their interfaces in one block
-  // (see InterfacePool above). Fully memoized passes cannot: the compose
-  // cache would keep whole pools alive through single entries. Slim passes
-  // can — nothing they derive reaches the cache — and parallel workers
-  // never can (they would race on the fill cursor).
+  // Serial passes that derive every internal node (no memo, the first
+  // pass, or every bit dropped) allocate all their interfaces in one block
+  // (see InterfacePool above). Incremental passes allocate per stale node:
+  // their few derivations do not pay for a block, and an old block stays
+  // alive only as long as the valid entries that point into it. Parallel
+  // workers never use the block (they would race on the fill cursor).
+  const std::vector<NodeId>& internal = topo.internal_bottom_up();
+  const bool serial = pool == nullptr || pool->jobs() <= 1;
   InterfacePool pool_storage;
   InterfacePool* ipool = nullptr;
-  if ((memo == nullptr || slim) && (pool == nullptr || pool->jobs() <= 1)) {
-    const std::size_t internal = topo.internal_bottom_up().size();
-    if (internal > 0) {
-      pool_storage.block =
-          std::make_shared<InterfaceSet::NodeInterface[]>(internal);
-      ipool = &pool_storage;
-    }
+  if (serial && !internal.empty() &&
+      (valid == nullptr ||
+       std::none_of(internal.begin(), internal.end(),
+                    [&](NodeId v) { return (*valid)[v] != 0; }))) {
+    pool_storage.block =
+        std::make_shared<InterfaceSet::NodeInterface[]>(internal.size());
+    ipool = &pool_storage;
   }
+
+  // Nodes one pass (or one worker slot) left untouched and re-derived.
+  struct alignas(64) PassCounts {
+    std::uint64_t hits{0};
+    std::uint64_t misses{0};
+  };
 
   // Shared by the serial and parallel paths. Thread safety of the parallel
   // case: the node table is detached up front, then a worker writes only
-  // `node`'s slots of ifs/fp/valid (distinct objects per node) and reads
-  // only children finalized in earlier rounds; cache find/insert are
-  // internally synchronized.
+  // `node`'s slots of ifs/valid (distinct objects per node) and reads
+  // only children finalized in earlier rounds.
   // Called on internal nodes only (the traversal orders below skip
   // leaves; leaves carry no interface).
-  const auto process = [&](NodeId node, std::uint64_t& fast_hits) {
-    if (memo != nullptr) {
+  const auto process = [&](NodeId node, PassCounts& counts) {
+    if (valid != nullptr) {
       if ((*valid)[node] != 0) {
         // Still valid: the last result's content for this subtree IS the
         // from-scratch derivation.
-        ++fast_hits;
-        if (slim && ipool != nullptr) {
-          // Copy-forward into the pass block. Leaving the entry aliased
-          // into an older pass's block would scatter the children of
-          // every stale parent across however many blocks past passes
-          // left alive — and the gather walk's reads dominate small-tree
-          // derivation. A flat copy is far cheaper than the derivation it
-          // replaces, keeps exactly one block live per direction, and
-          // restores the adjacent-children layout the pool exists for.
-          if (const InterfaceSet::NodeInterface* ni = ifs.peek(node)) {
-            InterfaceSet::NodeInterface* slot = &ipool->block[ipool->next];
-            *slot = *ni;
-            ifs.set_node_interface(
-                node,
-                std::shared_ptr<InterfaceSet::NodeInterface>(ipool->block,
-                                                             slot));
-            ++ipool->next;
-          }
-        }
+        ++counts.hits;
         return;
-      }
-      if (!slim) {
-        (*fp)[node] = subtree_fingerprint(topo, traffic, dir, num_channels,
-                                          own_slack, node, *fp);
-        if (std::shared_ptr<const ComposeCache::Entry> entry =
-                cache->find((*fp)[node])) {
-          ifs.set_node_interface(node, std::move(entry));
-          // Validity is set only once the content is in place, so an
-          // exception mid-pass can never leave a valid bit without its
-          // interface behind it.
-          (*valid)[node] = 1;
-          return;
-        }
       }
       // Derive from a clean slate so no layer of the stale snapshot
       // survives (the snapshot itself stays intact for its other owners).
@@ -296,17 +237,19 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
     }
     derive_interface(topo, traffic, dir, num_channels, own_slack, node, ifs,
                      ipool);
-    if (memo != nullptr) {
-      if (!slim) cache->insert((*fp)[node], ifs.node_interface(node));
-      (*valid)[node] = 1;
-    }
+    ++counts.misses;
+    // Validity is set only once the content is in place, so an exception
+    // mid-pass can never leave a valid bit without its interface.
+    if (valid != nullptr) (*valid)[node] = 1;
   };
 
-  if (pool == nullptr || pool->jobs() <= 1) {
-    std::uint64_t fast_hits = 0;
-    for (NodeId node : topo.internal_bottom_up()) process(node, fast_hits);
-    if (cache != nullptr && fast_hits > 0) cache->note_hits(fast_hits);
-    if (memo != nullptr) memo->last_result(dir) = ifs;
+  if (serial) {
+    PassCounts counts;
+    for (NodeId node : internal) process(node, counts);
+    if (memo != nullptr) {
+      memo->note_pass(counts.hits, counts.misses);
+      memo->last_result(dir) = ifs;
+    }
     return ifs;
   }
 
@@ -314,15 +257,12 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
   // detached before the first round so no worker triggers the lazy
   // copy-on-write clone. Each worker slot records into its own obs
   // context (phase histograms preserved via the merge below; trace events
-  // from workers are dropped) and its own padded hit counter (no false
+  // from workers are dropped) and its own padded counts (no false
   // sharing on the hot path).
   ifs.detach();
   std::vector<obs::Context> contexts(pool->jobs());
   for (obs::Context& ctx : contexts) ctx.timing = obs::timing_enabled();
-  struct alignas(64) SlotHits {
-    std::uint64_t n{0};
-  };
-  std::vector<SlotHits> slot_hits(pool->jobs());
+  std::vector<PassCounts> slot_counts(pool->jobs());
 
   for (int layer = topo.depth() - 1; layer >= 0; --layer) {
     const std::vector<NodeId>& nodes = topo.internal_at_layer(layer);
@@ -338,18 +278,16 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
     pool->run_blocked(nodes.size(), batch,
                       [&](std::size_t slot, std::size_t i) {
                         obs::ScopedContext scoped(contexts[slot]);
-                        process(nodes[i], slot_hits[slot].n);
+                        process(nodes[i], slot_counts[slot]);
                       });
   }
   for (obs::Context& ctx : contexts) {
     obs::MetricsRegistry::global().merge(ctx.metrics);
   }
-  if (cache != nullptr) {
-    std::uint64_t fast_hits = 0;
-    for (const SlotHits& s : slot_hits) fast_hits += s.n;
-    if (fast_hits > 0) cache->note_hits(fast_hits);
+  if (memo != nullptr) {
+    for (const PassCounts& c : slot_counts) memo->note_pass(c.hits, c.misses);
+    memo->last_result(dir) = ifs;
   }
-  if (memo != nullptr) memo->last_result(dir) = ifs;
   return ifs;
 }
 

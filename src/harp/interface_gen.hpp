@@ -39,10 +39,10 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
 /// Accelerated from-scratch generation: identical output to the overload
 /// above for any (memo, pool) combination — both are pure accelerators.
 ///
-/// `memo` (may be null) memoizes whole subtree interfaces under content
-/// fingerprints (harp/compose_cache.hpp): stale fingerprints are
-/// recomputed bottom-up and re-validated, cache hits copy the previously
-/// composed interface instead of re-running Alg. 1.
+/// `memo` (may be null) keeps the last pass's result and a validity bit
+/// per node (harp/compose_cache.hpp): the pass takes that result over and
+/// re-derives, by Alg. 1, exactly the stale internal nodes; valid nodes
+/// are left untouched.
 ///
 /// `pool` (may be null, or jobs() == 1 for serial) composes node layers in
 /// parallel, deepest first: within one node-layer round every node's

@@ -98,14 +98,6 @@ std::int64_t InterfaceSet::interface_cells(NodeId node) const {
   return total;
 }
 
-std::shared_ptr<const InterfaceSet::NodeInterface>
-InterfaceSet::node_interface(NodeId node) const {
-  HARP_ASSERT(node < num_nodes());
-  const auto& p = store_->nodes[node];
-  if (!p) return std::make_shared<const NodeInterface>();
-  return p;
-}
-
 void InterfaceSet::set_node_interface(
     NodeId node, std::shared_ptr<const NodeInterface> interface) {
   HARP_ASSERT(node < num_nodes());

@@ -91,9 +91,9 @@ inline std::string to_string(const Partition& p) {
 ///
 /// Storage is copy-on-write at two levels:
 ///   * per node — each node's per-layer interface lives behind a
-///     shared_ptr, so the compose cache shares whole node interfaces with
-///     the engine's live sets at zero copy cost (a cache hit is one
-///     pointer assignment);
+///     shared_ptr, so the compose memo shares whole node interfaces with
+///     the engine's live sets at zero copy cost (a still-valid node is
+///     never copied);
 ///   * per set — the whole node table is itself shared, so copying an
 ///     InterfaceSet (engine save/restore snapshots, the memo's pristine
 ///     last result) is O(1) and an unchanged-node regeneration writes
@@ -315,16 +315,10 @@ class InterfaceSet {
   /// Sum of cells over one node's interface.
   std::int64_t interface_cells(NodeId node) const;
 
-  /// The node's whole interface as an immutable shared snapshot (never
-  /// null; an interface-less node yields an empty map). What the compose
-  /// cache stores.
-  std::shared_ptr<const NodeInterface> node_interface(NodeId node) const;
-
   /// Borrowed read-only view of the node's interface map, or nullptr when
-  /// the node carries none. Unlike node_interface() this never allocates —
-  /// the composition hot path walks children's maps through it
-  /// (docs/KERNELS.md "Gather"). The pointer is invalidated by any
-  /// mutation of this set.
+  /// the node carries none. Never allocates — the composition hot path
+  /// walks children's maps through it (docs/KERNELS.md "Gather"). The
+  /// pointer is invalidated by any mutation of this set.
   const NodeInterface* peek(NodeId node) const {
     HARP_ASSERT(node < num_nodes());
     return store_->nodes[node].get();

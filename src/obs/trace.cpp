@@ -190,7 +190,7 @@ void TraceSink::write_jsonl(std::ostream& out, std::int64_t trial) const {
       case EventType::kComposeCache:
         line["hits"] = e.a;
         line["misses"] = e.b;
-        line["inserts"] = e.value;
+        line["invalidations"] = e.value;
         break;
       case EventType::kLockOrderFail:
         // Mutex names are interned through the phase-name table like

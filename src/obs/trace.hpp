@@ -46,8 +46,8 @@ enum class EventType : std::uint8_t {
   kMsgDeliver,    // HARP protocol message delivered over a mgmt cell
   kPhase,         // scoped wall-clock phase timing (HARP_OBS_SCOPE)
   kAuditFail,     // invariant audit violation (a = interned check-name id)
-  kComposeCache,  // one generation pass's cache summary (a/b/value =
-                  // hits/misses/inserts delta)
+  kComposeCache,  // one generation pass's memo summary (a/b/value =
+                  // hits/misses/invalidations delta)
   kLockOrderFail, // lock-rank violation (a/b = acquiring/held phase-name
                   // ids, value = held_rank<<32 | acquiring_rank)
   kRtEvent,       // rt dispatcher executed one event (aux = task/timer,

@@ -248,7 +248,7 @@ TEST(Engine, ReportAccountingIsConsistent) {
   }
   EXPECT_EQ(put_intf, r.hops_up);
   EXPECT_GE(r.layers_spanned(engine.topology()), 1);
-  EXPECT_FALSE(r.involved().empty());
+  EXPECT_FALSE(r.messages.empty());
 }
 
 TEST(Engine, DownlinkAdjustmentWorksToo) {

@@ -42,8 +42,7 @@ TEST(LockRank, TableValuesArePinned) {
   // the documented hierarchy, so every slot is pinned here.
   EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kFleetShard), 100u);
   EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kWorkerPool), 200u);
-  EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kComposeCache), 300u);
-  // rt.Dispatcher.inbox: above kComposeCache (any subsystem may
+  // rt.Dispatcher.inbox: above kWorkerPool (any subsystem may
   // post_external while holding coarser locks), below kObsIntern (the
   // drain path may intern instruments).
   EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kRtDispatcher), 350u);
@@ -53,14 +52,12 @@ TEST(LockRank, TableValuesArePinned) {
 TEST(LockRank, RtDispatcherNestsUnderEveryCoarserRank) {
   Mutex shard{LockRank::kFleetShard, "test.rt_rank.shard"};
   Mutex pool{LockRank::kWorkerPool, "test.rt_rank.pool"};
-  Mutex cache{LockRank::kComposeCache, "test.rt_rank.cache"};
   Mutex inbox{LockRank::kRtDispatcher, "test.rt_rank.inbox"};
   Mutex intern{LockRank::kObsIntern, "test.rt_rank.intern"};
   MutexLock a(shard);
   MutexLock b(pool);
-  MutexLock c(cache);
-  MutexLock d(inbox);
-  MutexLock e(intern);
+  MutexLock c(inbox);
+  MutexLock d(intern);
 }
 
 TEST(LockRank, ReleaseUnwindsTheHeldStack) {
@@ -80,7 +77,7 @@ TEST(LockRank, InversionThrowsAndEmitsTraceEvent) {
   obs::enable(16);
   sink.clear();
 
-  Mutex inner{LockRank::kComposeCache, "test.inversion_inner"};
+  Mutex inner{LockRank::kWorkerPool, "test.inversion_inner"};
   Mutex outer{LockRank::kFleetShard, "test.inversion_outer"};
   {
     MutexLock hold(inner);
@@ -100,7 +97,7 @@ TEST(LockRank, InversionThrowsAndEmitsTraceEvent) {
                "test.inversion_inner");
   EXPECT_EQ(e.value & 0xffffffffull,
             static_cast<std::uint64_t>(LockRank::kFleetShard));
-  EXPECT_EQ(e.value >> 32, static_cast<std::uint64_t>(LockRank::kComposeCache));
+  EXPECT_EQ(e.value >> 32, static_cast<std::uint64_t>(LockRank::kWorkerPool));
   obs::disable();
 
   // The checker state stays consistent after the failed acquisition:
@@ -121,7 +118,7 @@ TEST(LockRank, EqualRankIsAViolation) {
 #if GTEST_HAS_DEATH_TEST
 
 [[noreturn]] void seed_inversion() {
-  Mutex inner{LockRank::kComposeCache, "test.abort_inner"};
+  Mutex inner{LockRank::kWorkerPool, "test.abort_inner"};
   Mutex outer{LockRank::kFleetShard, "test.abort_outer"};
   MutexLock hold(inner);
   MutexLock bad(outer);  // aborts under HARP_ASSERT_ABORT

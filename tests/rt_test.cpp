@@ -469,16 +469,16 @@ TEST(RtRuntime, AbortPendingWithoutPendingIsANoop) {
   EXPECT_EQ(d.run_until_idle(), 0u);  // nothing was sent
 }
 
-TEST(LockRank, RtDispatcherRankSitsBetweenComposeCacheAndObsIntern) {
+TEST(LockRank, RtDispatcherRankSitsBetweenWorkerPoolAndObsIntern) {
   // Pin the published value: the rank table is API (docs/STATIC_ANALYSIS.md).
   EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kRtDispatcher), 350u);
   // Posting externally is legal while holding any coarser lock...
   Mutex shard{LockRank::kFleetShard, "test.rt.shard"};
-  Mutex cache{LockRank::kComposeCache, "test.rt.cache"};
+  Mutex pool{LockRank::kWorkerPool, "test.rt.pool"};
   Mutex inbox{LockRank::kRtDispatcher, "test.rt.inbox"};
   {
     MutexLock a(shard);
-    MutexLock b(cache);
+    MutexLock b(pool);
     MutexLock c(inbox);
   }
   // ...and obs interning stays reachable under the inbox lock.
