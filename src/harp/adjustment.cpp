@@ -278,4 +278,34 @@ std::optional<GrownComposite> grow_composite_anchored(
   return grown;
 }
 
+std::optional<HopStep> adjust_hop(
+    const ResourceComponent& box,
+    const std::vector<packing::Placement>& current_layout, NodeId requester,
+    const ResourceComponent& updated, GrowSide side, int max_channels) {
+  if (box.empty()) return std::nullopt;
+  AdjustOutcome fit =
+      adjust_partition_layout(box, current_layout, requester, updated, side);
+  if (fit.success) return HopStep{true, box, std::move(fit.layout)};
+  // The box must grow. Anchored growth keeps every sibling placement
+  // fixed, so the escalation's blast radius stays on this branch.
+  if (auto grown = grow_composite_anchored(box, current_layout, requester,
+                                           updated, max_channels, side)) {
+    return HopStep{false, grown->box, std::move(grown->layout)};
+  }
+  return std::nullopt;
+}
+
+HopStep recompose_hop(const ResourceComponent& box,
+                      const std::vector<ChildComponent>& children,
+                      int max_channels) {
+  Composition composed = compose_components(children, max_channels);
+  HARP_ASSERT(!composed.composite.empty());
+  // The fresh composition may fit the existing box even though the
+  // incremental adjustment failed: keep the box and its reported size.
+  const bool fits = !box.empty() && composed.composite.slots <= box.slots &&
+                    composed.composite.channels <= box.channels;
+  return HopStep{fits, fits ? box : composed.composite,
+                 std::move(composed.layout)};
+}
+
 }  // namespace harp::core

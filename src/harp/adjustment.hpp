@@ -9,11 +9,15 @@
 // alone; then progressively free the partitions closest to it (nearby idle
 // area coalesces best) and repack the freed set; as a last resort free
 // everything and solve the rectangle-packing problem from scratch.
+//
+// adjust_hop + recompose_hop are the per-node step of Alg. 2 that the
+// engine's climb and the distributed agents both run.
 #pragma once
 
 #include <optional>
 #include <vector>
 
+#include "harp/compose.hpp"
 #include "harp/resource.hpp"
 #include "packing/rect.hpp"
 
@@ -33,6 +37,10 @@ struct AdjustOutcome {
 /// the existing interior keeps its absolute position when the partition's
 /// start moves.
 enum class GrowSide { kRight, kLeft };
+
+inline GrowSide grow_side(Direction dir) {
+  return dir == Direction::kUp ? GrowSide::kRight : GrowSide::kLeft;
+}
 
 /// Problem 2: can the given components (current siblings with child_j's
 /// replaced by `updated`) be packed into a box at all? Uses the same
@@ -72,5 +80,31 @@ std::optional<GrownComposite> grow_composite_anchored(
     const std::vector<packing::Placement>& current_layout, NodeId child_j,
     const ResourceComponent& updated, int max_channels,
     GrowSide side = GrowSide::kRight);
+
+/// One Alg. 2 hop at a parent: its new component and layout at the layer.
+/// When `absorbed`, the component is the unchanged box; otherwise the
+/// parent escalates it.
+struct HopStep {
+  bool absorbed{false};
+  ResourceComponent comp;
+  std::vector<packing::Placement> layout;
+};
+
+/// The hop at a parent whose child `requester` now needs `updated`:
+/// absorb it inside `box` (the parent's partition size, empty when it
+/// holds none at this layer), else grow the box anchored. Returns nullopt
+/// when neither works; the caller then gathers the children's components
+/// for recompose_hop, so the common paths never gather.
+std::optional<HopStep> adjust_hop(
+    const ResourceComponent& box,
+    const std::vector<packing::Placement>& current_layout, NodeId requester,
+    const ResourceComponent& updated, GrowSide side, int max_channels);
+
+/// The rest of the hop: recompose the layer (Alg. 1) over `children`, the
+/// requester already at its new size. Absorbed when the composite fits
+/// `box`, escalated otherwise.
+HopStep recompose_hop(const ResourceComponent& box,
+                      const std::vector<ChildComponent>& children,
+                      int max_channels);
 
 }  // namespace harp::core

@@ -569,19 +569,9 @@ HarpEngine::TopoChangeReport HarpEngine::reparent_leaf(NodeId leaf,
   // rectangle inside the old parent's composite layouts...
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
     InterfaceSet& ifs = dir == Direction::kUp ? up_ : down_;
-    for (int layer : ifs.layers(leaf)) {
-      parts_.erase(dir, leaf, layer);
-    }
-    for (int layer : ifs.layers(leaf)) {
-      ifs.set_component(leaf, layer, {});
-    }
-    for (int layer : ifs.layers(old_parent)) {
-      auto layout = ifs.layout(old_parent, layer);
-      std::erase_if(layout, [&](const packing::Placement& p) {
-        return p.id == static_cast<std::uint64_t>(leaf);
-      });
-      ifs.set_layout(old_parent, layer, std::move(layout));
-    }
+    parts_.assign(dir, leaf, {});
+    ifs.clear_node(leaf);
+    ifs.erase_placement(old_parent, leaf);
   }
   // ...rewire (with_parent validates against cycles), refreshing the RM
   // priorities whose paths changed. Priorities feed every parent's RM
@@ -728,10 +718,8 @@ void place_children(const InterfaceSet& ifs, Direction dir, NodeId node,
   const Partition base = parts.get(dir, node, layer);
   for (const packing::Placement& pl : ifs.layout(node, layer)) {
     const auto child = static_cast<NodeId>(pl.id);
-    const Partition next{ifs.component(child, layer),
-                         base.slot + static_cast<SlotId>(pl.x),
-                         base.channel + static_cast<ChannelId>(pl.y)};
-    HARP_ASSERT(next.comp.slots == pl.w && next.comp.channels == pl.h);
+    const Partition next =
+        child_partition(base, pl, ifs.component(child, layer));
     if (next != parts.get(dir, child, layer)) {
       txn.set_partition(child, layer, next);
       msgs.push_back({node, child, ProtocolMessage::Type::kPutPart});
@@ -762,9 +750,6 @@ AdjustmentReport HarpEngine::climb(NodeId start, int layer, Direction dir,
   NodeId v = start;
   ResourceComponent c_req = grown;
   bool resolved = false;
-
-  const GrowSide side =
-      dir == Direction::kUp ? GrowSide::kRight : GrowSide::kLeft;
   const int max_channels = static_cast<int>(frame_.num_channels);
 
   txn.set_component(v, layer, c_req);
@@ -773,52 +758,28 @@ AdjustmentReport HarpEngine::climb(NodeId start, int layer, Direction dir,
     msgs.push_back({v, p, ProtocolMessage::Type::kPutIntf});
     ++report.hops_up;
 
-    const Partition box = parts.get(dir, p, layer);
-    if (!box.empty()) {
-      const AdjustOutcome outcome = adjust_partition_layout(
-          box.comp, ifs.layout(p, layer), v, c_req, side);
-      if (outcome.success) {
-        txn.set_layout(p, layer, outcome.layout);
-        place_children(ifs, dir, p, layer, parts, txn, msgs, changed);
-        report.resolved_at = p;
-        resolved = true;
-        break;
+    const ResourceComponent box = parts.get(dir, p, layer).comp;
+    std::optional<HopStep> step =
+        adjust_hop(box, ifs.layout(p, layer), v, c_req, grow_side(dir),
+                   max_channels);
+    if (!step) {
+      std::vector<ChildComponent> children;
+      for (NodeId c : topo_.children(p)) {
+        const ResourceComponent cc = ifs.component(c, layer);
+        if (!cc.empty()) children.push_back({c, cc});
       }
-
-      // p's box must grow. Anchored growth keeps every sibling placement
-      // fixed, so the escalation's blast radius stays on this branch.
-      if (auto grown = grow_composite_anchored(
-              box.comp, ifs.layout(p, layer), v, c_req, max_channels, side)) {
-        txn.set_component(p, layer, grown->box);
-        txn.set_layout(p, layer, std::move(grown->layout));
-        c_req = ifs.component(p, layer);
-        v = p;
-        continue;
-      }
+      step = recompose_hop(box, children, max_channels);
     }
-
-    // Last resort: recompose the layer from scratch (Alg. 1) and escalate
-    // with the fresh composite (all sibling placements may change).
-    std::vector<ChildComponent> parts_in;
-    for (NodeId c : topo_.children(p)) {
-      const ResourceComponent cc = ifs.component(c, layer);
-      if (!cc.empty()) parts_in.push_back({c, cc});
-    }
-    Composition composed = compose_components(parts_in, max_channels);
-    HARP_ASSERT(!composed.composite.empty());
-    if (!box.empty() && composed.composite.slots <= box.comp.slots &&
-        composed.composite.channels <= box.comp.channels) {
-      // The fresh composition fits the existing box after all: adopt the
-      // layout, keep the partition (and its reported size) unchanged.
-      txn.set_layout(p, layer, std::move(composed.layout));
+    if (step->absorbed) {
+      txn.set_layout(p, layer, std::move(step->layout));
       place_children(ifs, dir, p, layer, parts, txn, msgs, changed);
       report.resolved_at = p;
       resolved = true;
       break;
     }
-    txn.set_component(p, layer, composed.composite);
-    txn.set_layout(p, layer, std::move(composed.layout));
-    c_req = ifs.component(p, layer);
+    txn.set_component(p, layer, step->comp);
+    txn.set_layout(p, layer, std::move(step->layout));
+    c_req = step->comp;
     v = p;
   }
 
@@ -829,18 +790,7 @@ AdjustmentReport HarpEngine::climb(NodeId start, int layer, Direction dir,
     // re-placement, and rejecting when even that cannot fit beside the
     // other direction's partitions.
     const NodeId gw = net::Topology::gateway();
-    std::map<int, ResourceComponent> comps;
-    for (int l : ifs.layers(gw)) comps[l] = ifs.component(gw, l);
-    std::map<int, Partition> current_side;
-    for (int l : parts.layers(dir, gw)) current_side[l] = parts.get(dir, gw, l);
-    const Direction other_dir =
-        dir == Direction::kUp ? Direction::kDown : Direction::kUp;
-    std::map<int, Partition> other_side;
-    for (int l : parts.layers(other_dir, gw)) {
-      other_side[l] = parts.get(other_dir, gw, l);
-    }
-    const auto placed =
-        replace_gateway_side(comps, dir, frame_, current_side, other_side);
+    const auto placed = replace_gateway_side(ifs, parts, dir, frame_);
     if (!placed) {
       report.kind = AdjustmentKind::kRejected;
       report.satisfied = false;

@@ -59,14 +59,6 @@ std::int64_t total_slots(const std::map<int, ResourceComponent>& comps) {
   return total;
 }
 
-std::map<int, ResourceComponent> gateway_components(const InterfaceSet& ifs) {
-  std::map<int, ResourceComponent> comps;
-  for (int layer : ifs.layers(net::Topology::gateway())) {
-    comps[layer] = ifs.component(net::Topology::gateway(), layer);
-  }
-  return comps;
-}
-
 /// Derives child partitions from every composed layer's layout, top-down.
 void descend(const net::Topology& topo, const InterfaceSet& ifs,
              Direction dir, PartitionTable& table) {
@@ -79,58 +71,52 @@ void descend(const net::Topology& topo, const InterfaceSet& ifs,
       HARP_ASSERT(!parent_part.empty());
       for (const packing::Placement& pl : layout) {
         const auto child = static_cast<NodeId>(pl.id);
-        const ResourceComponent cc = ifs.component(child, layer);
-        HARP_ASSERT(cc.slots == pl.w && cc.channels == pl.h);
         table.set(dir, child, layer,
-                  Partition{cc,
-                            parent_part.slot + static_cast<SlotId>(pl.x),
-                            parent_part.channel +
-                                static_cast<ChannelId>(pl.y)});
+                  child_partition(parent_part, pl,
+                                  ifs.component(child, layer)));
       }
     }
   }
 }
 
-}  // namespace
+// The component of a (layer, component) or (layer, interface entry) pair.
+ResourceComponent comp_of(const ResourceComponent& c) { return c; }
+ResourceComponent comp_of(const InterfaceSet::LayerIf& entry) {
+  return entry.comp;
+}
 
-std::optional<std::map<int, Partition>> place_gateway_side(
-    const std::map<int, ResourceComponent>& comps, Direction dir,
-    SlotId limit_begin, SlotId limit_end,
+/// place_gateway_side over any ascending (layer, component-or-entry)
+/// range: a component map, or the gateway's interface row read in place.
+template <class Comps>
+std::optional<std::map<int, Partition>> place_side(
+    const Comps& comps, Direction dir, SlotId limit_begin, SlotId limit_end,
     const std::map<int, Partition>& current, SlotId gap) {
   // Spatial processing order is deepest layer first in both directions:
   // uplink grows left-to-right from limit_begin, downlink right-to-left
   // from limit_end (keeping shallow layers earliest in time, per the
   // compliant order).
-  std::vector<int> order;
-  for (const auto& [layer, c] : comps) {
-    if (!c.empty()) order.push_back(layer);
-  }
-  std::sort(order.begin(), order.end(), std::greater<int>());
-
   std::map<int, Partition> out;
-  if (dir == Direction::kUp) {
-    std::int64_t cursor = limit_begin;
-    for (int layer : order) {
-      const ResourceComponent c = comps.at(layer);
+  std::int64_t cursor = dir == Direction::kUp ? limit_begin : limit_end;
+  for (auto it = comps.end(); it != comps.begin();) {
+    --it;
+    const int layer = it->first;
+    const ResourceComponent c = comp_of(it->second);
+    if (c.empty()) continue;
+    const auto anchor = current.find(layer);
+    if (dir == Direction::kUp) {
       std::int64_t start = cursor;
-      const auto it = current.find(layer);
-      if (it != current.end()) {
-        start = std::max<std::int64_t>(cursor, it->second.slot);
+      if (anchor != current.end()) {
+        start = std::max<std::int64_t>(cursor, anchor->second.slot);
       }
       if (start + c.slots > static_cast<std::int64_t>(limit_end)) {
         return std::nullopt;
       }
       out[layer] = Partition{c, static_cast<SlotId>(start), 0};
       cursor = start + c.slots + gap;
-    }
-  } else {
-    std::int64_t cursor = limit_end;
-    for (int layer : order) {
-      const ResourceComponent c = comps.at(layer);
+    } else {
       std::int64_t end = cursor;
-      const auto it = current.find(layer);
-      if (it != current.end()) {
-        end = std::min<std::int64_t>(cursor, it->second.end_slot());
+      if (anchor != current.end()) {
+        end = std::min<std::int64_t>(cursor, anchor->second.end_slot());
       }
       const std::int64_t start = end - c.slots;
       if (start < static_cast<std::int64_t>(limit_begin)) return std::nullopt;
@@ -139,6 +125,23 @@ std::optional<std::map<int, Partition>> place_gateway_side(
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::map<int, ResourceComponent> gateway_components(const InterfaceSet& ifs) {
+  std::map<int, ResourceComponent> comps;
+  for (int layer : ifs.layers(net::Topology::gateway())) {
+    comps[layer] = ifs.component(net::Topology::gateway(), layer);
+  }
+  return comps;
+}
+
+std::optional<std::map<int, Partition>> place_gateway_side(
+    const std::map<int, ResourceComponent>& comps, Direction dir,
+    SlotId limit_begin, SlotId limit_end,
+    const std::map<int, Partition>& current, SlotId gap) {
+  return place_side(comps, dir, limit_begin, limit_end, current, gap);
 }
 
 std::pair<std::map<int, Partition>, std::map<int, Partition>>
@@ -191,19 +194,23 @@ initial_gateway_layout(const std::map<int, ResourceComponent>& up,
 }
 
 std::optional<std::map<int, Partition>> replace_gateway_side(
-    const std::map<int, ResourceComponent>& comps, Direction dir,
-    const net::SlotframeConfig& frame,
-    const std::map<int, Partition>& current_side,
-    const std::map<int, Partition>& other_side) {
-  for (const auto& [layer, c] : comps) {
-    if (c.channels > static_cast<int>(frame.num_channels)) {
+    const InterfaceSet& ifs, const PartitionTable& parts, Direction dir,
+    const net::SlotframeConfig& frame) {
+  const NodeId gw = net::Topology::gateway();
+  static const InterfaceSet::NodeInterface kNone{};
+  const InterfaceSet::NodeInterface& comps =
+      ifs.peek(gw) != nullptr ? *ifs.peek(gw) : kNone;
+  for (const auto& [layer, entry] : comps) {
+    if (entry.comp.channels > static_cast<int>(frame.num_channels)) {
       return std::nullopt;
     }
   }
   // The other direction's partitions bound the usable window.
+  const Direction other =
+      dir == Direction::kUp ? Direction::kDown : Direction::kUp;
   SlotId limit_begin = 0;
   SlotId limit_end = frame.data_slots;
-  for (const auto& [layer, p] : other_side) {
+  for (const auto& [layer, p] : parts.of(other, gw)) {
     if (dir == Direction::kUp) {
       limit_end = std::min(limit_end, p.slot);
     } else {
@@ -212,12 +219,12 @@ std::optional<std::map<int, Partition>> replace_gateway_side(
   }
   // Anchored first: untouched layers keep their positions and only the
   // grown layer (plus whoever it displaces) moves.
-  if (auto anchored = place_gateway_side(comps, dir, limit_begin, limit_end,
-                                         current_side, 0)) {
+  if (auto anchored = place_side(comps, dir, limit_begin, limit_end,
+                                 parts.of(dir, gw), 0)) {
     return anchored;
   }
   // Compact fallback: shift everything together.
-  return place_gateway_side(comps, dir, limit_begin, limit_end, {}, 0);
+  return place_side(comps, dir, limit_begin, limit_end, {}, 0);
 }
 
 AllocationResult allocate_partitions(const net::Topology& topo,
@@ -235,13 +242,9 @@ AllocationResult allocate_partitions(const net::Topology& topo,
 
   auto [up_parts, down_parts] =
       initial_gateway_layout(up_comps, down_comps, frame);
-  for (const auto& [layer, p] : up_parts) {
-    result.partitions.set(Direction::kUp, net::Topology::gateway(), layer, p);
-  }
-  for (const auto& [layer, p] : down_parts) {
-    result.partitions.set(Direction::kDown, net::Topology::gateway(), layer,
-                          p);
-  }
+  const NodeId gw = net::Topology::gateway();
+  result.partitions.assign(Direction::kUp, gw, std::move(up_parts));
+  result.partitions.assign(Direction::kDown, gw, std::move(down_parts));
 
   descend(topo, up, Direction::kUp, result.partitions);
   descend(topo, down, Direction::kDown, result.partitions);

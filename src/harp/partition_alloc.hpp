@@ -110,6 +110,9 @@ std::optional<std::map<int, Partition>> place_gateway_side(
     SlotId limit_begin, SlotId limit_end,
     const std::map<int, Partition>& current, SlotId gap);
 
+/// The gateway's components of one direction, layer -> component.
+std::map<int, ResourceComponent> gateway_components(const InterfaceSet& ifs);
+
 /// Initial gateway layout for both directions, spreading the data
 /// sub-frame's spare slots as inter-layer gaps (half to each direction).
 /// Throws InfeasibleError when the components cannot be admitted.
@@ -118,15 +121,16 @@ initial_gateway_layout(const std::map<int, ResourceComponent>& up,
                        const std::map<int, ResourceComponent>& down,
                        const net::SlotframeConfig& frame);
 
-/// Gateway re-placement ladder after a component change: anchored first
-/// (existing partitions keep their position; the grown layer extends into
-/// its gap), compact second (everything shifts). Returns nullopt when the
-/// request must be rejected. `other_side` bounds the usable window.
+/// Gateway re-placement ladder after a component change of direction
+/// `dir`: anchored first (existing partitions keep their position; the
+/// grown layer extends into its gap), compact second (everything shifts).
+/// Reads the gateway's components from `ifs` and its partitions of both
+/// directions from `parts` in place; the other direction's partitions
+/// bound the usable window. Returns nullopt when the request must be
+/// rejected.
 std::optional<std::map<int, Partition>> replace_gateway_side(
-    const std::map<int, ResourceComponent>& comps, Direction dir,
-    const net::SlotframeConfig& frame,
-    const std::map<int, Partition>& current_side,
-    const std::map<int, Partition>& other_side);
+    const InterfaceSet& ifs, const PartitionTable& parts, Direction dir,
+    const net::SlotframeConfig& frame);
 
 /// Places both interface sets into the slotframe and derives the partition
 /// of every subtree at every layer. Throws InfeasibleError when the two

@@ -79,6 +79,16 @@ void InterfaceSet::set_layout(NodeId node, int layer,
   it->second.layout = std::move(layout);
 }
 
+void InterfaceSet::erase_placement(NodeId node, NodeId child) {
+  HARP_ASSERT(node < num_nodes());
+  if (store_->nodes[node] == nullptr) return;
+  for (auto& [layer, entry] : mutable_node(node)) {
+    std::erase_if(entry.layout, [child](const packing::Placement& p) {
+      return p.id == static_cast<std::uint64_t>(child);
+    });
+  }
+}
+
 std::vector<int> InterfaceSet::layers(NodeId node) const {
   HARP_ASSERT(node < num_nodes());
   std::vector<int> out;

@@ -77,6 +77,17 @@ struct Partition {
   friend auto operator<=>(const Partition&, const Partition&) = default;
 };
 
+/// The partition of the child placed at `pl` inside its parent's
+/// partition `base` (Sec. IV-C carve): `comp` is the child's component,
+/// which must match the placement's size.
+inline Partition child_partition(const Partition& base,
+                                 const packing::Placement& pl,
+                                 ResourceComponent comp) {
+  HARP_ASSERT(comp.slots == pl.w && comp.channels == pl.h);
+  return Partition{comp, base.slot + static_cast<SlotId>(pl.x),
+                   base.channel + static_cast<ChannelId>(pl.y)};
+}
+
 inline std::string to_string(const Partition& p) {
   return to_string(p.comp) + "@(" + std::to_string(p.slot) + "," +
          std::to_string(p.channel) + ")";
@@ -308,6 +319,10 @@ class InterfaceSet {
   const std::vector<packing::Placement>& layout(NodeId node, int layer) const;
   void set_layout(NodeId node, int layer,
                   std::vector<packing::Placement> layout);
+
+  /// Drops `child`'s placement from every layout of `node`: a departed
+  /// subtree frees its rectangle, and its siblings keep theirs.
+  void erase_placement(NodeId node, NodeId child);
 
   /// Layers at which `node` reports a non-empty component, ascending.
   std::vector<int> layers(NodeId node) const;

@@ -1,8 +1,11 @@
 #include "proto/agent.hpp"
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "common/error.hpp"
+#include "harp/adjustment.hpp"
 #include "obs/obs.hpp"
 
 namespace harp::proto {
@@ -23,28 +26,43 @@ core::ResourceComponent comp_from(const IntfItem& item) {
 
 }  // namespace
 
-HarpAgent::HarpAgent(AgentConfig cfg, core::PartitionTable& parts,
-                     core::Schedule& schedule)
-    : cfg_(std::move(cfg)), parts_(parts), schedule_(schedule) {
+HarpAgent::HarpAgent(AgentConfig cfg, NetworkTables& tables)
+    : cfg_(std::move(cfg)), tables_(tables) {
   cfg_.frame.validate();
   if (cfg_.id == kNoNode) throw InvalidArgument("agent needs a node id");
 }
 
-ChildLink& HarpAgent::link(NodeId child) {
-  for (ChildLink& l : cfg_.children) {
+const ChildLink& HarpAgent::link(NodeId child) const {
+  for (const ChildLink& l : cfg_.children) {
     if (l.child == child) return l;
   }
   throw InvalidArgument("node " + std::to_string(cfg_.id) +
                         " has no child " + std::to_string(child));
 }
 
+ChildLink& HarpAgent::link(NodeId child) {
+  return const_cast<ChildLink&>(std::as_const(*this).link(child));
+}
+
+bool HarpAgent::has_child(NodeId child) const {
+  return std::any_of(cfg_.children.begin(), cfg_.children.end(),
+                     [child](const ChildLink& l) { return l.child == child; });
+}
+
 int HarpAgent::child_demand(NodeId child, Direction dir) const {
-  for (const ChildLink& l : cfg_.children) {
-    if (l.child == child) {
-      return dir == Direction::kUp ? l.up_demand : l.down_demand;
+  return link(child).demand(dir);
+}
+
+std::vector<core::ChildComponent> HarpAgent::child_components(
+    Direction dir, int layer) const {
+  std::vector<core::ChildComponent> out;
+  for (const auto& [child, per_layer] : child_comp_[dir_index(dir)]) {
+    const auto it = per_layer.find(layer);
+    if (it != per_layer.end() && !it->second.empty()) {
+      out.push_back({child, it->second});
     }
   }
-  throw InvalidArgument("unknown child");
+  return out;
 }
 
 // --------------------------------------------------------------- phase 1-2
@@ -60,124 +78,100 @@ void HarpAgent::start(Transport& t) {
   for (const ChildLink& l : cfg_.children) {
     if (!l.is_leaf) ++awaiting_children_;
   }
-  if (awaiting_children_ == 0) {
-    compose_own_interfaces();
-    if (is_gateway()) {
-      gateway_allocate(t);
-    } else {
-      report_interface(t);
-    }
-  }
+  if (awaiting_children_ == 0) report_interface(t);
 }
 
 void HarpAgent::compose_own_interfaces() {
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
-    PerDir& s = side(dir);
-    s.comp.clear();
-    s.layout.clear();
+    core::InterfaceSet& ifs = own(dir);
+    ifs.clear_node(cfg_.id);
     // Case 1: own links share this node -> one slot row (plus the
     // per-link provisioning headroom, when configured).
     int sum = 0;
     int active = 0;
     for (const ChildLink& l : cfg_.children) {
-      const int d = dir == Direction::kUp ? l.up_demand : l.down_demand;
-      sum += d;
-      if (d > 0) ++active;
+      sum += l.demand(dir);
+      if (l.demand(dir) > 0) ++active;
     }
     if (sum > 0) {
-      s.comp[cfg_.link_layer] =
-          core::ResourceComponent{sum + cfg_.own_slack * active, 1};
-      s.layout[cfg_.link_layer] = {};
+      ifs.set_component(cfg_.id, cfg_.link_layer,
+                        {sum + cfg_.own_slack * active, 1});
     }
     // Case 2: compose whatever the children reported, layer by layer.
-    std::vector<int> layers;
+    std::set<int> layers;
     for (const auto& [child, per_layer] : child_comp_[dir_index(dir)]) {
-      for (const auto& [layer, comp] : per_layer) layers.push_back(layer);
+      for (const auto& [layer, comp] : per_layer) layers.insert(layer);
     }
-    std::sort(layers.begin(), layers.end());
-    layers.erase(std::unique(layers.begin(), layers.end()), layers.end());
     for (int layer : layers) {
-      std::vector<core::ChildComponent> parts;
-      for (const auto& [child, per_layer] : child_comp_[dir_index(dir)]) {
-        const auto it = per_layer.find(layer);
-        if (it != per_layer.end() && !it->second.empty()) {
-          parts.push_back({child, it->second});
-        }
-      }
       core::Composition composed = core::compose_components(
-          parts, static_cast<int>(cfg_.frame.num_channels));
+          child_components(dir, layer),
+          static_cast<int>(cfg_.frame.num_channels));
       if (composed.composite.empty()) continue;
-      s.comp[layer] = composed.composite;
-      s.layout[layer] = std::move(composed.layout);
+      ifs.set_component(cfg_.id, layer, composed.composite);
+      ifs.set_layout(cfg_.id, layer, std::move(composed.layout));
     }
   }
 }
 
 void HarpAgent::report_interface(Transport& t) {
-  Message msg;
-  msg.type = MsgType::kPostIntf;
-  msg.src = cfg_.id;
-  msg.dst = cfg_.parent;
+  compose_own_interfaces();
+  if (is_gateway()) {
+    gateway_allocate(t);
+    return;
+  }
   IntfPayload payload;
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
-    for (const auto& [layer, comp] : side(dir).comp) {
-      payload.items.push_back(make_intf_item(layer, dir, comp));
+    if (const auto* rows = own(dir).peek(cfg_.id)) {
+      for (const auto& [layer, entry] : *rows) {
+        payload.items.push_back(make_intf_item(layer, dir, entry.comp));
+      }
     }
   }
-  msg.payload = std::move(payload);
-  t.send(std::move(msg));
+  t.send({MsgType::kPostIntf, cfg_.id, cfg_.parent, std::move(payload)});
 }
 
 void HarpAgent::gateway_allocate(Transport& t) {
   // Exactly the engine's initial layout (shared helper), so a distributed
   // bootstrap reproduces the oracle bit for bit.
   auto [up_parts, down_parts] = core::initial_gateway_layout(
-      side(Direction::kUp).comp, side(Direction::kDown).comp, cfg_.frame);
-  parts_.assign(Direction::kUp, cfg_.id, std::move(up_parts));
-  parts_.assign(Direction::kDown, cfg_.id, std::move(down_parts));
-  send_initial_grants(t);
-  reassign_cells(Direction::kUp, t);
-  reassign_cells(Direction::kDown, t);
-  ready_ = true;
+      core::gateway_components(tables_.up),
+      core::gateway_components(tables_.down), cfg_.frame);
+  tables_.parts.assign(Direction::kUp, cfg_.id, std::move(up_parts));
+  tables_.parts.assign(Direction::kDown, cfg_.id, std::move(down_parts));
+  grant_initial(t);
 }
 
-void HarpAgent::send_initial_grants(Transport& t) {
+void HarpAgent::grant_initial(Transport& t) {
   for (const ChildLink& l : cfg_.children) {
     if (l.is_leaf) continue;
     PartPayload payload;
     for (Direction dir : {Direction::kUp, Direction::kDown}) {
-      PerDir& s = side(dir);
-      for (const auto& [layer, placements] : s.layout) {
+      const auto* rows = own(dir).peek(cfg_.id);
+      if (rows == nullptr) continue;
+      for (const auto& [layer, entry] : *rows) {
         const core::Partition base = partition(dir, layer);
         if (base.empty()) continue;
-        for (const packing::Placement& pl : placements) {
+        for (const packing::Placement& pl : entry.layout) {
           if (pl.id != l.child) continue;
-          const core::Partition child_part{
-              child_comp_[dir_index(dir)][l.child][layer],
-              base.slot + static_cast<SlotId>(pl.x),
-              base.channel + static_cast<ChannelId>(pl.y)};
+          const core::Partition child_part = core::child_partition(
+              base, pl, child_comp_[dir_index(dir)][l.child][layer]);
           payload.items.push_back(to_part_item(layer, dir, child_part));
           granted_[dir_index(dir)][l.child][layer] = child_part;
         }
       }
     }
-    Message msg;
-    msg.type = MsgType::kPostPart;
-    msg.src = cfg_.id;
-    msg.dst = l.child;
-    msg.payload = std::move(payload);
-    t.send(std::move(msg));
+    t.send({MsgType::kPostPart, cfg_.id, l.child, std::move(payload)});
   }
+  reassign_cells(Direction::kUp, t);
+  reassign_cells(Direction::kDown, t);
+  ready_ = true;
 }
 
 void HarpAgent::reassign_cells(Direction dir, Transport& t) {
   std::vector<core::LinkRequest> requests;
   for (const ChildLink& l : cfg_.children) {
-    const int demand = dir == Direction::kUp ? l.up_demand : l.down_demand;
-    if (demand > 0) {
-      requests.push_back(
-          {l.child, demand,
-           dir == Direction::kUp ? l.up_period : l.down_period});
+    if (l.demand(dir) > 0) {
+      requests.push_back({l.child, l.demand(dir), l.period(dir)});
     }
   }
   std::map<NodeId, std::vector<Cell>> next;
@@ -195,11 +189,7 @@ void HarpAgent::reassign_cells(Direction dir, Transport& t) {
     const auto it = next.find(l.child);
     std::vector<Cell> fresh =
         it == next.end() ? std::vector<Cell>{} : std::move(it->second);
-    if (fresh == schedule_.cells(l.child, dir)) continue;
-    Message msg;
-    msg.type = MsgType::kCellAssign;
-    msg.src = cfg_.id;
-    msg.dst = l.child;
+    if (fresh == tables_.schedule.cells(l.child, dir)) continue;
     CellAssignPayload payload;
     payload.dirs_replaced = dir == Direction::kUp ? 1 : 2;
     for (Cell c : fresh) {
@@ -207,9 +197,8 @@ void HarpAgent::reassign_cells(Direction dir, Transport& t) {
                                        static_cast<std::uint16_t>(c.slot),
                                        static_cast<std::uint8_t>(c.channel)});
     }
-    msg.payload = std::move(payload);
-    t.send(std::move(msg));
-    schedule_.set_cells(l.child, dir, std::move(fresh));
+    t.send({MsgType::kCellAssign, cfg_.id, l.child, std::move(payload)});
+    tables_.schedule.set_cells(l.child, dir, std::move(fresh));
   }
 }
 
@@ -220,6 +209,14 @@ void HarpAgent::on_message(const Message& msg, Transport& t) {
   static const obs::InstrumentId kProcessed =
       obs::intern_counter("harp.agent.msgs_processed");
   obs::MetricsRegistry::global().counter(kProcessed).inc();
+  if (!accepts(msg)) {
+    // Counted only here: the runner's behaviour fingerprint hashes every
+    // counter a trial touches.
+    static const obs::InstrumentId kRejected =
+        obs::intern_counter("harp.agent.msgs_rejected");
+    obs::MetricsRegistry::global().counter(kRejected).inc();
+    return;
+  }
   switch (msg.type) {
     case MsgType::kPostIntf: {
       const auto& payload = std::get<IntfPayload>(msg.payload);
@@ -227,26 +224,15 @@ void HarpAgent::on_message(const Message& msg, Transport& t) {
         child_comp_[dir_index(item.dir)][msg.src][item.layer] =
             comp_from(item);
       }
-      HARP_ASSERT(awaiting_children_ > 0);
-      if (--awaiting_children_ == 0) {
-        compose_own_interfaces();
-        if (is_gateway()) {
-          gateway_allocate(t);
-        } else {
-          report_interface(t);
-        }
-      }
+      if (--awaiting_children_ == 0) report_interface(t);
       break;
     }
     case MsgType::kPostPart: {
       const auto& payload = std::get<PartPayload>(msg.payload);
       for (const PartItem& item : payload.items) {
-        parts_.set(item.dir, cfg_.id, item.layer, from_part_item(item));
+        tables_.parts.set(item.dir, cfg_.id, item.layer, from_part_item(item));
       }
-      send_initial_grants(t);
-      reassign_cells(Direction::kUp, t);
-      reassign_cells(Direction::kDown, t);
-      ready_ = true;
+      grant_initial(t);
       break;
     }
     case MsgType::kPutIntf:
@@ -255,9 +241,11 @@ void HarpAgent::on_message(const Message& msg, Transport& t) {
     case MsgType::kPutPart:
       handle_put_part(msg, t);
       break;
-    case MsgType::kReject:
-      handle_reject(msg, t);
+    case MsgType::kReject: {
+      const auto& payload = std::get<RejectPayload>(msg.payload);
+      abort_pending(payload.layer, payload.dir, t);
       break;
+    }
     case MsgType::kCellAssign:
       // Consumed by the data plane (the simulator reads cell assignments
       // from the parent agent); nothing to update here.
@@ -265,42 +253,65 @@ void HarpAgent::on_message(const Message& msg, Transport& t) {
   }
 }
 
-// ------------------------------------------------------------- dynamic
-
-namespace {
-
-Message put_part_message(NodeId src, NodeId dst, int layer, Direction dir,
-                         const core::Partition& p) {
-  Message msg;
-  msg.type = MsgType::kPutPart;
-  msg.src = src;
-  msg.dst = dst;
-  PartPayload payload;
-  payload.items.push_back(to_part_item(layer, dir, p));
-  msg.payload = std::move(payload);
-  return msg;
+bool HarpAgent::accepts(const Message& msg) const {
+  // A child's interface lies at the layers below this node's own links,
+  // a grant at this node's layers, and both inside the frame.
+  const auto in_subtree = [this](const IntfItem& item) {
+    return item.layer > cfg_.link_layer && !comp_from(item).empty() &&
+           item.channels <= cfg_.frame.num_channels;
+  };
+  const auto in_frame = [this](const PartItem& item) {
+    const core::Partition p = from_part_item(item);
+    return item.layer >= cfg_.link_layer && !p.empty() &&
+           p.end_slot() <= cfg_.frame.data_slots &&
+           p.end_channel() <= cfg_.frame.num_channels;
+  };
+  switch (msg.type) {
+    case MsgType::kPostIntf:
+    case MsgType::kPutIntf: {
+      const auto& items = std::get<IntfPayload>(msg.payload).items;
+      if (msg.type == MsgType::kPostIntf ? awaiting_children_ == 0
+                                         : items.size() != 1) {
+        return false;
+      }
+      return has_child(msg.src) &&
+             std::all_of(items.begin(), items.end(), in_subtree);
+    }
+    case MsgType::kPostPart:
+    case MsgType::kPutPart: {
+      const auto& items = std::get<PartPayload>(msg.payload).items;
+      return !is_gateway() && msg.src == cfg_.parent &&
+             std::all_of(items.begin(), items.end(), in_frame);
+    }
+    case MsgType::kReject: {
+      const auto& payload = std::get<RejectPayload>(msg.payload);
+      return pending_.contains({payload.layer, dir_index(payload.dir)});
+    }
+    case MsgType::kCellAssign:
+      return true;
+  }
+  return false;
 }
 
-}  // namespace
+// ------------------------------------------------------------- dynamic
 
 /// Re-derives the children's partitions at `layer` from the current box +
 /// layout and sends PUT-part where they changed.
 void HarpAgent::carve_and_grant(Direction dir, int layer, Transport& t) {
-  PerDir& s = side(dir);
-  const auto layout_it = s.layout.find(layer);
-  if (layout_it == s.layout.end() || layout_it->second.empty()) return;
+  const std::vector<packing::Placement>& layout =
+      own(dir).layout(cfg_.id, layer);
+  if (layout.empty()) return;
   const core::Partition base = partition(dir, layer);
   HARP_ASSERT(!base.empty());
-  for (const packing::Placement& pl : layout_it->second) {
+  for (const packing::Placement& pl : layout) {
     const auto child = static_cast<NodeId>(pl.id);
-    const core::Partition next{child_comp_[dir_index(dir)][child][layer],
-                               base.slot + static_cast<SlotId>(pl.x),
-                               base.channel + static_cast<ChannelId>(pl.y)};
-    HARP_ASSERT(next.comp.slots == pl.w && next.comp.channels == pl.h);
+    const core::Partition next = core::child_partition(
+        base, pl, child_comp_[dir_index(dir)][child][layer]);
     core::Partition& granted = granted_[dir_index(dir)][child][layer];
     if (granted == next) continue;
     granted = next;
-    t.send(put_part_message(cfg_.id, child, layer, dir, next));
+    t.send({MsgType::kPutPart, cfg_.id, child,
+            PartPayload{{to_part_item(layer, dir, next)}}});
   }
 }
 
@@ -310,10 +321,10 @@ void HarpAgent::change_demand(NodeId child, Direction dir, int cells,
   static const obs::InstrumentId kChanges =
       obs::intern_counter("harp.agent.demand_changes");
   obs::MetricsRegistry::global().counter(kChanges).inc();
-  ChildLink& l = link(child);
-  const int old = demand(l, dir);
+  int& demand = link(child).demand(dir);
+  const int old = demand;
   if (cells == old) return;
-  demand(l, dir) = cells;
+  demand = cells;
 
   if (cells < old) {
     // Decrease: release cells, keep the partition reservation (Sec. V).
@@ -322,9 +333,7 @@ void HarpAgent::change_demand(NodeId child, Direction dir, int cells,
   }
 
   int sum = 0;
-  for (const ChildLink& c : cfg_.children) {
-    sum += dir == Direction::kUp ? c.up_demand : c.down_demand;
-  }
+  for (const ChildLink& c : cfg_.children) sum += c.demand(dir);
   const core::Partition current = partition(dir, cfg_.link_layer);
   if (!current.empty() && sum <= current.comp.slots) {
     reassign_cells(dir, t);  // Case 1: absorbed locally (idle cells)
@@ -333,24 +342,11 @@ void HarpAgent::change_demand(NodeId child, Direction dir, int cells,
   // Case 2: grow the own-layer component to exactly the new demand and
   // escalate (headroom is a bootstrap-time property: re-requesting it
   // here would inflate every escalation).
-  const core::ResourceComponent grown{sum, 1};
-  PerDir& s = side(dir);
   Pending pending;
   pending.requester = kNoNode;  // self
-  pending.prev_own_comp = s.comp.count(cfg_.link_layer)
-                              ? s.comp[cfg_.link_layer]
-                              : core::ResourceComponent{};
-  pending.prev_layout = {};
+  pending.prev_own_comp = own(dir).component(cfg_.id, cfg_.link_layer);
   pending.demand_rollback = {{child, old}};
-  s.comp[cfg_.link_layer] = grown;
-  s.layout[cfg_.link_layer] = {};
-
-  if (is_gateway()) {
-    // The gateway resolves its own growth by re-placing its layers.
-    pending_.insert({{cfg_.link_layer, dir_index(dir)}, std::move(pending)});
-    gateway_replace(dir, t);
-    return;
-  }
+  own(dir).set_component(cfg_.id, cfg_.link_layer, {sum, 1});
   escalate(dir, cfg_.link_layer, std::move(pending), t);
 }
 
@@ -359,21 +355,16 @@ void HarpAgent::add_child(const ChildLink& link, Transport& t) {
   if (!link.is_leaf) {
     throw InvalidArgument("only leaf devices can join dynamically");
   }
-  for (const ChildLink& l : cfg_.children) {
-    if (l.child == link.child) {
-      throw InvalidArgument("child already attached");
-    }
-  }
+  if (has_child(link.child)) throw InvalidArgument("child already attached");
   // Register with zero demand, then negotiate the requested reservation
   // through the ordinary dynamic path.
-  ChildLink fresh = link;
-  const int want_up = fresh.up_demand;
-  const int want_down = fresh.down_demand;
-  fresh.up_demand = 0;
-  fresh.down_demand = 0;
-  cfg_.children.push_back(fresh);
-  if (want_up > 0) change_demand(link.child, Direction::kUp, want_up, t);
-  if (want_down > 0) change_demand(link.child, Direction::kDown, want_down, t);
+  cfg_.children.push_back(link);
+  cfg_.children.back().up_demand = cfg_.children.back().down_demand = 0;
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    if (link.demand(dir) > 0) {
+      change_demand(link.child, dir, link.demand(dir), t);
+    }
+  }
 }
 
 void HarpAgent::remove_child(NodeId child, Transport& t) {
@@ -385,23 +376,17 @@ void HarpAgent::remove_child(NodeId child, Transport& t) {
   // Release the link's cells (reservation kept), then scrub bookkeeping.
   l.up_demand = 0;
   l.down_demand = 0;
-  const core::Partition up_part = partition(Direction::kUp, cfg_.link_layer);
-  const core::Partition down_part =
-      partition(Direction::kDown, cfg_.link_layer);
-  if (!up_part.empty()) reassign_cells(Direction::kUp, t);
-  if (!down_part.empty()) reassign_cells(Direction::kDown, t);
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    if (!partition(dir, cfg_.link_layer).empty()) reassign_cells(dir, t);
+  }
 
   std::erase_if(cfg_.children,
                 [&](const ChildLink& c) { return c.child == child; });
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
     child_comp_[dir_index(dir)].erase(child);
     granted_[dir_index(dir)].erase(child);
-    schedule_.clear_link(child, dir);
-    for (auto& [layer, layout] : side(dir).layout) {
-      std::erase_if(layout, [&](const packing::Placement& p) {
-        return p.id == static_cast<std::uint64_t>(child);
-      });
-    }
+    tables_.schedule.clear_link(child, dir);
+    own(dir).erase_placement(cfg_.id, child);
   }
 }
 
@@ -416,32 +401,29 @@ void HarpAgent::rehome(NodeId new_parent, int new_link_layer) {
   // reservations) must not survive the move. Its children's cell rows are
   // already empty: remove_child cleared each one.
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
-    side(dir) = PerDir{};
+    own(dir).clear_node(cfg_.id);
     child_comp_[dir_index(dir)].clear();
     granted_[dir_index(dir)].clear();
-    parts_.assign(dir, cfg_.id, {});
+    tables_.parts.assign(dir, cfg_.id, {});
   }
   pending_.clear();
 }
 
 void HarpAgent::escalate(Direction dir, int layer, Pending pending,
                          Transport& t) {
+  if (is_gateway()) {
+    // The gateway resolves the growth itself by re-placing its layers.
+    gateway_replace(dir, layer, pending, t);
+    return;
+  }
   pending_.insert({{layer, dir_index(dir)}, std::move(pending)});
-  Message msg;
-  msg.type = MsgType::kPutIntf;
-  msg.src = cfg_.id;
-  msg.dst = cfg_.parent;
-  IntfPayload payload;
-  payload.items.push_back(
-      make_intf_item(layer, dir, side(dir).comp[layer]));
-  msg.payload = std::move(payload);
-  t.send(std::move(msg));
+  t.send({MsgType::kPutIntf, cfg_.id, cfg_.parent,
+          IntfPayload{{make_intf_item(
+              layer, dir, own(dir).component(cfg_.id, layer))}}});
 }
 
 void HarpAgent::handle_put_intf(const Message& msg, Transport& t) {
-  const auto& payload = std::get<IntfPayload>(msg.payload);
-  HARP_ASSERT(payload.items.size() == 1);
-  const IntfItem& item = payload.items[0];
+  const IntfItem& item = std::get<IntfPayload>(msg.payload).items[0];
   const Direction dir = item.dir;
   const int layer = item.layer;
   const NodeId child = msg.src;
@@ -451,107 +433,33 @@ void HarpAgent::handle_put_intf(const Message& msg, Transport& t) {
   const core::ResourceComponent prev_child = stored;
   stored = updated;
 
-  PerDir& s = side(dir);
-  const core::Partition box = partition(dir, layer);
-  const std::vector<packing::Placement> prev_layout =
-      s.layout.count(layer) ? s.layout[layer]
-                            : std::vector<packing::Placement>{};
-  const core::GrowSide grow_side = dir == Direction::kUp
-                                       ? core::GrowSide::kRight
-                                       : core::GrowSide::kLeft;
+  core::InterfaceSet& ifs = own(dir);
+  const core::ResourceComponent box = partition(dir, layer).comp;
   const int max_channels = static_cast<int>(cfg_.frame.num_channels);
-  const core::ResourceComponent prev_own =
-      s.comp.count(layer) ? s.comp[layer] : core::ResourceComponent{};
-
-  if (!box.empty()) {
-    const core::AdjustOutcome outcome = core::adjust_partition_layout(
-        box.comp, prev_layout, child, updated, grow_side);
-    if (outcome.success) {
-      s.layout[layer] = outcome.layout;
-      carve_and_grant(dir, layer, t);
-      return;
-    }
-
-    // The box must grow: anchored growth keeps the siblings in place so
-    // only the requester's branch is disturbed by the escalation.
-    if (auto grown = core::grow_composite_anchored(
-            box.comp, prev_layout, child, updated, max_channels, grow_side)) {
-      Pending pending;
-      pending.requester = child;
-      pending.prev_requester_comp = prev_child;
-      pending.prev_own_comp = prev_own;
-      pending.prev_layout = prev_layout;
-      s.comp[layer] = grown->box;
-      s.layout[layer] = std::move(grown->layout);
-      if (is_gateway()) {
-        pending_.insert({{layer, dir_index(dir)}, std::move(pending)});
-        gateway_replace(dir, t);
-        return;
-      }
-      escalate(dir, layer, std::move(pending), t);
-      return;
-    }
+  std::optional<core::HopStep> step =
+      core::adjust_hop(box, ifs.layout(cfg_.id, layer), child, updated,
+                       core::grow_side(dir), max_channels);
+  if (!step) {
+    step = core::recompose_hop(box, child_components(dir, layer),
+                               max_channels);
   }
-
-  // Recompose this layer with the grown child component (Alg. 1).
-  std::vector<core::ChildComponent> parts;
-  for (const auto& [c, per_layer] : child_comp_[dir_index(dir)]) {
-    const auto it = per_layer.find(layer);
-    if (it != per_layer.end() && !it->second.empty()) {
-      parts.push_back({c, it->second});
-    }
-  }
-  core::Composition composed =
-      core::compose_components(parts, max_channels);
-  HARP_ASSERT(!composed.composite.empty());
-
-  if (!box.empty() && composed.composite.slots <= box.comp.slots &&
-      composed.composite.channels <= box.comp.channels) {
-    // The fresh composition happens to fit the existing box even though
-    // the incremental adjustment failed: adopt the layout, keep the
-    // partition (and its reported size) unchanged.
-    s.layout[layer] = std::move(composed.layout);
+  if (step->absorbed) {
+    ifs.set_layout(cfg_.id, layer, std::move(step->layout));
     carve_and_grant(dir, layer, t);
     return;
   }
-
-  Pending pending;
-  pending.requester = child;
-  pending.prev_requester_comp = prev_child;
-  pending.prev_own_comp = prev_own;
-  pending.prev_layout = prev_layout;
-  s.comp[layer] = composed.composite;
-  s.layout[layer] = std::move(composed.layout);
-
-  if (is_gateway()) {
-    pending_.insert({{layer, dir_index(dir)}, std::move(pending)});
-    gateway_replace(dir, t);
-    return;
-  }
+  Pending pending{child, prev_child, ifs.component(cfg_.id, layer),
+                  ifs.layout(cfg_.id, layer), std::nullopt};
+  ifs.set_component(cfg_.id, layer, step->comp);
+  ifs.set_layout(cfg_.id, layer, std::move(step->layout));
   escalate(dir, layer, std::move(pending), t);
 }
 
-void HarpAgent::gateway_replace(Direction dir, Transport& t) {
-  const Direction other =
-      dir == Direction::kUp ? Direction::kDown : Direction::kUp;
-
+void HarpAgent::gateway_replace(Direction dir, int layer,
+                                const Pending& pending, Transport& t) {
   // Anchored-then-compact re-placement (shared with the engine).
   const auto placed =
-      core::replace_gateway_side(side(dir).comp, dir, cfg_.frame,
-                                 parts_.of(dir, cfg_.id),
-                                 parts_.of(other, cfg_.id));
-
-  // The pending entry for the layer under adjustment (there is exactly
-  // one in our serialized-request model).
-  const auto pending_it = std::find_if(
-      pending_.begin(), pending_.end(), [&](const auto& kv) {
-        return kv.first.second == dir_index(dir);
-      });
-  HARP_ASSERT(pending_it != pending_.end());
-  const int layer = pending_it->first.first;
-  const Pending pending = std::move(pending_it->second);
-  pending_.erase(pending_it);
-
+      core::replace_gateway_side(own(dir), tables_.parts, dir, cfg_.frame);
   if (!placed) {
     unwind(layer, dir, pending, t);  // deny
     return;
@@ -559,7 +467,7 @@ void HarpAgent::gateway_replace(Direction dir, Transport& t) {
 
   // Adopt the new layout and regrant whatever moved (carve_and_grant only
   // messages children whose partition actually changed).
-  parts_.assign(dir, cfg_.id, *placed);
+  tables_.parts.assign(dir, cfg_.id, *placed);
   for (const auto& [l, p] : *placed) {
     carve_and_grant(dir, l, t);
     if (l == cfg_.link_layer) reassign_cells(dir, t);
@@ -571,17 +479,11 @@ void HarpAgent::handle_put_part(const Message& msg, Transport& t) {
   for (const PartItem& item : payload.items) {
     const Direction dir = item.dir;
     const int layer = item.layer;
-    parts_.set(dir, cfg_.id, layer, from_part_item(item));
+    tables_.parts.set(dir, cfg_.id, layer, from_part_item(item));
     pending_.erase({layer, dir_index(dir)});  // grant commits the tentative
     carve_and_grant(dir, layer, t);
     if (layer == cfg_.link_layer) reassign_cells(dir, t);
   }
-}
-
-void HarpAgent::handle_reject(const Message& msg, Transport& t) {
-  const auto& payload = std::get<RejectPayload>(msg.payload);
-  // An agent only receives kReject for an escalation it has in flight.
-  HARP_ASSERT(abort_pending(payload.layer, payload.dir, t));
 }
 
 bool HarpAgent::abort_pending(int layer, Direction dir, Transport& t) {
@@ -595,25 +497,18 @@ bool HarpAgent::abort_pending(int layer, Direction dir, Transport& t) {
 
 void HarpAgent::unwind(int layer, Direction dir, const Pending& pending,
                        Transport& t) {
-  PerDir& s = side(dir);
-  if (pending.prev_own_comp.empty()) {
-    s.comp.erase(layer);
-    s.layout.erase(layer);
-  } else {
-    s.comp[layer] = pending.prev_own_comp;
-    s.layout[layer] = pending.prev_layout;
+  // An empty component erases the layer, layout included.
+  own(dir).set_component(cfg_.id, layer, pending.prev_own_comp);
+  if (!pending.prev_own_comp.empty()) {
+    own(dir).set_layout(cfg_.id, layer, pending.prev_layout);
   }
   if (pending.requester != kNoNode) {
     child_comp_[dir_index(dir)][pending.requester][layer] =
         pending.prev_requester_comp;
-    Message reject;
-    reject.type = MsgType::kReject;
-    reject.src = cfg_.id;
-    reject.dst = pending.requester;
-    reject.payload = RejectPayload{static_cast<std::uint8_t>(layer), dir};
-    t.send(std::move(reject));
+    t.send({MsgType::kReject, cfg_.id, pending.requester,
+            RejectPayload{static_cast<std::uint8_t>(layer), dir}});
   } else if (pending.demand_rollback) {
-    demand(link(pending.demand_rollback->first), dir) =
+    link(pending.demand_rollback->first).demand(dir) =
         pending.demand_rollback->second;
   }
 }

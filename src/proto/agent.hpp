@@ -9,24 +9,26 @@
 // the in-memory loopback used by tests or the simulator's management
 // plane — executes HARP exactly as the testbed deployment does.
 //
-// Where the state lives: the partitions and cells are rows of the
-// network's core::PartitionTable and core::Schedule, which the agent
-// borrows at construction (rt::ProtoRuntime owns both). An agent reads
-// and writes only its own partition rows (node = id()) and the cell rows
-// of its current children (child = a ChildLink's node). Every child has
-// exactly one parent, so no two agents write the same row. Everything
-// else above is private to the agent.
+// Where the state lives: the agent's own interfaces, partitions and its
+// children's cells are rows of the network's NetworkTables (the tables
+// core::HarpEngine holds), which the agent borrows at construction;
+// rt::ProtoRuntime owns them. An agent writes only its own interface and
+// partition rows (node = id()) and the cell rows of its current children,
+// and every child has one parent, so no two agents write the same row.
+// Private to the agent: its links, what its children reported and what it
+// last granted them (a parent's view of a child may lag while an
+// escalation or a retransmission is in flight), and its Pending
+// escalations.
 //
-// The engine (harp/engine.hpp) computes the same protocol centrally;
-// integration tests assert that agents and engine converge to identical
-// partitions and schedules.
+// Each Alg. 2 hop runs core::adjust_hop / core::recompose_hop, as the
+// engine's climb does; integration tests assert that agents and engine
+// converge to identical interfaces, partitions and schedules.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <vector>
 
-#include "harp/adjustment.hpp"
 #include "harp/compose.hpp"
 #include "harp/partition_alloc.hpp"
 #include "harp/resource.hpp"
@@ -53,6 +55,16 @@ struct ChildLink {
   int down_demand{0};
   std::uint32_t up_period{~0u};    // RM priority
   std::uint32_t down_period{~0u};
+
+  int& demand(Direction dir) {
+    return dir == Direction::kUp ? up_demand : down_demand;
+  }
+  int demand(Direction dir) const {
+    return dir == Direction::kUp ? up_demand : down_demand;
+  }
+  std::uint32_t period(Direction dir) const {
+    return dir == Direction::kUp ? up_period : down_period;
+  }
 };
 
 /// Node-local static configuration.
@@ -67,12 +79,36 @@ struct AgentConfig {
   int own_slack{0};
 };
 
+/// The network's tables the agents keep their rows in; rt::ProtoRuntime
+/// owns one.
+struct NetworkTables {
+  explicit NetworkTables(std::size_t num_nodes)
+      : up(num_nodes), down(num_nodes), parts(num_nodes), schedule(num_nodes) {}
+
+  core::InterfaceSet& interfaces(Direction dir) {
+    return dir == Direction::kUp ? up : down;
+  }
+  const core::InterfaceSet& interfaces(Direction dir) const {
+    return dir == Direction::kUp ? up : down;
+  }
+  /// Grows every table for newly joined nodes (no rows).
+  void resize(std::size_t num_nodes) {
+    up.resize(num_nodes);
+    down.resize(num_nodes);
+    parts.resize(num_nodes);
+    schedule.resize(num_nodes);
+  }
+
+  core::InterfaceSet up;
+  core::InterfaceSet down;
+  core::PartitionTable parts;
+  core::Schedule schedule;
+};
+
 class HarpAgent {
  public:
-  /// `parts` and `schedule` are the network's tables (sized to cover
-  /// this node and its children); they must outlive the agent.
-  HarpAgent(AgentConfig cfg, core::PartitionTable& parts,
-            core::Schedule& schedule);
+  /// `tables` must cover this node and its children and outlive the agent.
+  HarpAgent(AgentConfig cfg, NetworkTables& tables);
 
   NodeId id() const { return cfg_.id; }
   bool is_gateway() const { return cfg_.parent == kNoNode; }
@@ -82,7 +118,12 @@ class HarpAgent {
   /// interfaces immediately; everyone else waits for children.
   void start(Transport& t);
 
-  /// Delivers one received message.
+  /// Delivers one received message. One this node cannot have been sent
+  /// is dropped before any state change and counted in
+  /// `harp.agent.msgs_rejected`: an interface report from a non-child or
+  /// with an item outside this subtree's layers or the frame, a PUT-intf
+  /// with other than one item, a partition grant from a non-parent or
+  /// outside the frame, and a kReject with no escalation pending.
   void on_message(const Message& msg, Transport& t);
 
   /// Application-triggered traffic change on the link to `child`
@@ -117,11 +158,11 @@ class HarpAgent {
   bool ready() const { return ready_; }
   /// This node's partition at (dir, layer); empty if none.
   core::Partition partition(Direction dir, int layer) const {
-    return parts_.get(dir, cfg_.id, layer);
+    return tables_.parts.get(dir, cfg_.id, layer);
   }
   /// Layers at which this node holds a partition.
   std::vector<int> partition_layers(Direction dir) const {
-    return parts_.layers(dir, cfg_.id);
+    return tables_.parts.layers(dir, cfg_.id);
   }
   /// Current demand bookkeeping (for tests).
   int child_demand(NodeId child, Direction dir) const;
@@ -129,10 +170,6 @@ class HarpAgent {
   bool adjustment_pending() const { return !pending_.empty(); }
 
  private:
-  struct PerDir {
-    std::map<int, core::ResourceComponent> comp;                // by layer
-    std::map<int, std::vector<packing::Placement>> layout;      // by layer
-  };
   struct Pending {
     NodeId requester{kNoNode};  // child that sent PUT-intf; kNoNode = self
     core::ResourceComponent prev_requester_comp;  // to restore on reject
@@ -142,29 +179,40 @@ class HarpAgent {
     std::optional<std::pair<NodeId, int>> demand_rollback;  // child, cells
   };
 
-  PerDir& side(Direction dir) { return dirs_[dir == Direction::kUp ? 0 : 1]; }
-  const PerDir& side(Direction dir) const {
-    return dirs_[dir == Direction::kUp ? 0 : 1];
-  }
+  core::InterfaceSet& own(Direction dir) { return tables_.interfaces(dir); }
+  bool has_child(NodeId child) const;
   ChildLink& link(NodeId child);
-  int& demand(ChildLink& l, Direction dir) {
-    return dir == Direction::kUp ? l.up_demand : l.down_demand;
-  }
+  const ChildLink& link(NodeId child) const;
+
+  /// False for a message this node cannot have been sent (see
+  /// on_message); checked before any state change.
+  bool accepts(const Message& msg) const;
+  /// The components the children reported at `layer`, by child id.
+  std::vector<core::ChildComponent> child_components(Direction dir,
+                                                     int layer) const;
 
   // Phase 1-2 helpers.
   void compose_own_interfaces();
+  /// Once every child reported: composes this node's interface and
+  /// reports it to the parent (the gateway allocates instead).
   void report_interface(Transport& t);
   void gateway_allocate(Transport& t);
+  /// Once this node holds its partitions: POST-part to every non-leaf
+  /// child, then the cells of its own links; the node is then ready.
+  void grant_initial(Transport& t);
   void carve_and_grant(Direction dir, int layer, Transport& t);
   void reassign_cells(Direction dir, Transport& t);
-  void send_initial_grants(Transport& t);
 
   // Dynamic helpers.
   void handle_put_intf(const Message& msg, Transport& t);
   void handle_put_part(const Message& msg, Transport& t);
-  void handle_reject(const Message& msg, Transport& t);
+  /// Records `pending` and asks the parent for this layer's new component
+  /// (the gateway re-places its own layers instead).
   void escalate(Direction dir, int layer, Pending pending, Transport& t);
-  void gateway_replace(Direction dir, Transport& t);
+  /// The gateway's escalation step: re-places this direction's layers,
+  /// or unwinds `pending` (at `layer`) when they no longer fit.
+  void gateway_replace(Direction dir, int layer, const Pending& pending,
+                       Transport& t);
   /// Rolls back one escalation that was refused (kReject, ARQ timeout or
   /// a failed gateway re-placement): restores this layer's composition
   /// and layout, then either restores the requester's component and
@@ -173,11 +221,9 @@ class HarpAgent {
               Transport& t);
 
   AgentConfig cfg_;
-  /// The network's tables: this node's partition rows, its children's
-  /// cell rows.
-  core::PartitionTable& parts_;
-  core::Schedule& schedule_;
-  PerDir dirs_[2];
+  /// The network's tables: this node's interface and partition rows, its
+  /// children's cell rows.
+  NetworkTables& tables_;
   /// Interfaces reported by children: child -> dir -> layer -> component.
   std::map<NodeId, std::map<int, core::ResourceComponent>> child_comp_[2];
   /// Partitions last granted to each child: child -> layer -> partition.

@@ -53,8 +53,7 @@ ProtoRuntime::ProtoRuntime(const net::Topology& topo,
       opt_(opt),
       d_(d),
       ch_(ch),
-      parts_(topo.size()),
-      schedule_(topo.size()) {
+      tables_(topo.size()) {
   // Demands come from the traffic matrix, RM priorities from the tasks.
   const core::LinkPeriods periods = core::link_periods(topo, tasks);
   for (NodeId v = 0; v < topo.size(); ++v) {
@@ -80,7 +79,7 @@ proto::AgentConfig ProtoRuntime::agent_config(NodeId v) const {
 
 void ProtoRuntime::add_agent(proto::AgentConfig cfg) {
   agents_.push_back(
-      std::make_unique<proto::HarpAgent>(std::move(cfg), parts_, schedule_));
+      std::make_unique<proto::HarpAgent>(std::move(cfg), tables_));
   // The endpoint attaches itself to the channel as its agent's sink.
   endpoints_.push_back(std::make_unique<ReliableEndpoint>(
       *agents_.back(), d_, ch_, opt_.arq));
@@ -166,8 +165,7 @@ ProtoRuntime::JoinResult ProtoRuntime::join_node(NodeId parent, int up_cells,
   require_demand("join_node", down_cells);
   topo_ = topo_.with_leaf(parent);
   const NodeId node = static_cast<NodeId>(topo_.size() - 1);
-  parts_.resize(topo_.size());
-  schedule_.resize(topo_.size());
+  tables_.resize(topo_.size());
   add_agent(agent_config(node));
 
   ch_.reset_stats();

@@ -10,10 +10,11 @@
 // per node supplying retransmission when the transport can lose packets.
 // Each operation returns the messages its exchange put on the channel.
 //
-// The runtime owns the network's one core::PartitionTable and one
-// core::Schedule. Every agent holds references to both and keeps its
-// partitions and its children's cells there (proto/agent.hpp), so the
-// converged state is read in place, never assembled.
+// The runtime owns the network's one proto::NetworkTables (two
+// core::InterfaceSets, a core::PartitionTable and a core::Schedule, the
+// tables core::HarpEngine holds; join_node grows them). Every agent keeps
+// its own interfaces, partitions and its children's cells there
+// (proto/agent.hpp), so the converged state is read in place.
 #pragma once
 
 #include <cstdint>
@@ -99,12 +100,19 @@ class ProtoRuntime {
   static void require_demand(std::string_view op, int cells);
 
   /// The live global schedule: every parent's cell assignments.
-  const core::Schedule& current_schedule() const { return schedule_; }
+  const core::Schedule& current_schedule() const { return tables_.schedule; }
   /// The live partitions of every node.
-  const core::PartitionTable& current_partitions() const { return parts_; }
-  /// state_fingerprint() of the two tables above.
+  const core::PartitionTable& current_partitions() const {
+    return tables_.parts;
+  }
+  /// Every node's own interface of one direction (mirrors
+  /// core::HarpEngine::interfaces).
+  const core::InterfaceSet& current_interfaces(Direction dir) const {
+    return tables_.interfaces(dir);
+  }
+  /// state_fingerprint() of the partitions and the schedule.
   std::uint64_t fingerprint() const {
-    return state_fingerprint(parts_, schedule_);
+    return state_fingerprint(tables_.parts, tables_.schedule);
   }
 
   /// True when the dispatcher has no work and no endpoint awaits an ack.
@@ -129,8 +137,7 @@ class ProtoRuntime {
   Options opt_;
   Dispatcher& d_;
   Channel& ch_;
-  core::PartitionTable parts_;
-  core::Schedule schedule_;
+  proto::NetworkTables tables_;
   std::vector<std::unique_ptr<proto::HarpAgent>> agents_;
   std::vector<std::unique_ptr<ReliableEndpoint>> endpoints_;
 };

@@ -140,6 +140,7 @@ TEST(AgentDynamics, MatchesEngineThroughMixedDynamics) {
             << when << " link " << v;
       }
     }
+    ASSERT_TRUE(same_interfaces(network, engine)) << when;
   };
 
   const auto jr = network.join_node(15, 2, 2);
@@ -240,6 +241,7 @@ TEST(AgentDynamics, FuzzedMixedDynamicsMatchEngine) {
             << row.layer;
       }
     }
+    ASSERT_TRUE(same_interfaces(network, engine)) << "step " << step;
   }
 }
 

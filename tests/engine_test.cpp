@@ -123,6 +123,52 @@ TEST(Adjustment, RejectsEmptyComponent) {
   EXPECT_THROW(adjust_partition_layout({6, 2}, {}, 1, {}), InvalidArgument);
 }
 
+// The shared Alg. 2 hop: one hand-built layout per outcome.
+TEST(Adjustment, HopReachesEachOfItsFourOutcomes) {
+  using packing::Placement;
+  // Box 10x1 holding siblings 1 = [0,4) and 2 = [4,6).
+  const std::vector<Placement> layout{{0, 0, 4, 1, 1}, {4, 0, 2, 1, 2}};
+
+  // 1. Absorbed in the box: 2 grows to 5 slots into the idle [6,10).
+  auto step = adjust_hop({10, 1}, layout, 2, {5, 1}, GrowSide::kRight, 16);
+  ASSERT_TRUE(step);
+  EXPECT_TRUE(step->absorbed);
+  EXPECT_EQ(step->comp, (ResourceComponent{10, 1}));
+  EXPECT_EQ(step->layout,
+            (std::vector<Placement>{{0, 0, 4, 1, 1}, {4, 0, 5, 1, 2}}));
+
+  // 2. Grown anchored: in a 6x1 box 2 cannot reach 4 slots, so the box
+  // gains a channel and 1 keeps its place.
+  step = adjust_hop({6, 1}, layout, 2, {4, 1}, GrowSide::kRight, 16);
+  ASSERT_TRUE(step);
+  EXPECT_FALSE(step->absorbed);
+  EXPECT_EQ(step->comp, (ResourceComponent{6, 2}));
+  EXPECT_NE(std::find(step->layout.begin(), step->layout.end(), layout[0]),
+            step->layout.end());
+
+  // Neither applies without a box, or when no channel count can host the
+  // request: the caller gathers the children for the recompose branch.
+  EXPECT_FALSE(adjust_hop({}, layout, 2, {4, 1}, GrowSide::kRight, 16));
+  EXPECT_FALSE(adjust_hop({6, 1}, layout, 2, {4, 3}, GrowSide::kRight, 2));
+
+  const std::vector<ChildComponent> children{{1, {4, 1}}, {2, {4, 1}}};
+  // 3. The fresh composition [4,2] fits a 10x2 box: absorbed, and the box
+  // keeps its component, so nothing escalates.
+  HopStep fits = recompose_hop({10, 2}, children, 16);
+  EXPECT_TRUE(fits.absorbed);
+  EXPECT_EQ(fits.comp, (ResourceComponent{10, 2}));
+  EXPECT_EQ(fits.layout.size(), 2u);
+  // 4. It fits neither a 3x3 box nor an absent one: the composite
+  // escalates.
+  for (const ResourceComponent box : {ResourceComponent{3, 3},
+                                      ResourceComponent{}}) {
+    const HopStep escalated = recompose_hop(box, children, 16);
+    EXPECT_FALSE(escalated.absorbed);
+    EXPECT_EQ(escalated.comp, (ResourceComponent{4, 2}));
+    EXPECT_EQ(escalated.layout, fits.layout);
+  }
+}
+
 TEST(Adjustment, PreservesAllSiblings) {
   Rng rng(31);
   for (int iter = 0; iter < 25; ++iter) {

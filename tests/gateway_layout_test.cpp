@@ -134,25 +134,33 @@ TEST(GatewayReplace, AnchoredThenCompactThenReject) {
   net::SlotframeConfig f;
   f.length = 100;
   f.data_slots = 50;
-  const std::map<int, Partition> other{{1, {{10, 1}, 40, 0}}};  // down side
-  const std::map<int, Partition> current{{1, {{10, 1}, 25, 0}},
-                                         {2, {{10, 1}, 0, 0}}};
+  const NodeId gw = net::Topology::gateway();
+  PartitionTable parts(1);
+  parts.set(Direction::kDown, gw, 1, {{10, 1}, 40, 0});  // the other side
+  parts.set(Direction::kUp, gw, 1, {{10, 1}, 25, 0});
+  parts.set(Direction::kUp, gw, 2, {{10, 1}, 0, 0});
+  const auto up_components = [gw](ResourceComponent layer2) {
+    InterfaceSet ifs(1);
+    ifs.set_component(gw, 1, {10, 1});
+    ifs.set_component(gw, 2, layer2);
+    return ifs;
+  };
   // Anchored works: grow layer 2 to 12 (gap 15 available).
-  auto placed = replace_gateway_side({{1, {10, 1}}, {2, {12, 1}}},
-                                     Direction::kUp, f, current, other);
+  auto placed =
+      replace_gateway_side(up_components({12, 1}), parts, Direction::kUp, f);
   ASSERT_TRUE(placed);
   EXPECT_EQ(placed->at(1).slot, 25u);
 
   // Growth to 28: anchored fails (25+... layer1 pushed to 28, ends at 38
   // < 40 though) -> still anchored-feasible; grow to 35: total 45 > 40
   // window -> compact also fails -> reject.
-  placed = replace_gateway_side({{1, {10, 1}}, {2, {35, 1}}}, Direction::kUp,
-                                f, current, other);
+  placed =
+      replace_gateway_side(up_components({35, 1}), parts, Direction::kUp, f);
   EXPECT_FALSE(placed.has_value());
 
   // Growth to 28 slots: compact packs 28 + 10 = 38 <= 40.
-  placed = replace_gateway_side({{1, {10, 1}}, {2, {28, 1}}}, Direction::kUp,
-                                f, current, other);
+  placed =
+      replace_gateway_side(up_components({28, 1}), parts, Direction::kUp, f);
   ASSERT_TRUE(placed);
   EXPECT_LE(placed->at(1).end_slot(), 40u);
 }

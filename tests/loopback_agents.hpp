@@ -3,8 +3,11 @@
 // delivered in exact send order. The protocol tests' reference network.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <span>
 
+#include "harp/engine.hpp"
 #include "net/task.hpp"
 #include "net/topology.hpp"
 #include "net/traffic.hpp"
@@ -30,5 +33,32 @@ class LoopbackAgents : private LoopbackWire, public rt::ProtoRuntime {
                          own_slack,
                          rt::RuntimeOptions{.arq = {.enabled = false}}) {}
 };
+
+/// Whether the agents' own interface rows equal the engine's interface
+/// sets (components and layouts, every node, layer and direction); names
+/// the first node that differs.
+inline testing::AssertionResult same_interfaces(
+    const rt::ProtoRuntime& network, const core::HarpEngine& engine) {
+  for (Direction dir : {Direction::kUp, Direction::kDown}) {
+    const core::InterfaceSet& agents = network.current_interfaces(dir);
+    const core::InterfaceSet& oracle = engine.interfaces(dir);
+    if (agents.num_nodes() != oracle.num_nodes()) {
+      return testing::AssertionFailure() << "interface tables differ in size";
+    }
+    for (NodeId v = 0; v < agents.num_nodes(); ++v) {
+      bool same = agents.layers(v) == oracle.layers(v);
+      for (int layer : agents.layers(v)) {
+        same = same && agents.component(v, layer) ==
+                           oracle.component(v, layer) &&
+               agents.layout(v, layer) == oracle.layout(v, layer);
+      }
+      if (!same) {
+        return testing::AssertionFailure()
+               << to_string(dir) << " interface of node " << v << " differs";
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
 
 }  // namespace harp

@@ -199,16 +199,10 @@ struct NullTransport : proto::Transport {
   void send(proto::Message) override {}
 };
 
-/// The network tables a lone agent borrows (rows for nodes 0..9).
-struct Tables {
-  core::PartitionTable parts{10};
-  core::Schedule schedule{10};
-};
-
 TEST(AgentEdges, DuplicateAddChildThrows) {
   auto cfg = leaf_config(5, 1);
-  Tables tables;
-  proto::HarpAgent agent(cfg, tables.parts, tables.schedule);
+  proto::NetworkTables tables(10);  // rows for nodes 0..9
+  proto::HarpAgent agent(cfg, tables);
   NullTransport t;
   agent.start(t);
   agent.add_child({9, true, 0, 0, ~0u, ~0u}, t);
@@ -217,16 +211,29 @@ TEST(AgentEdges, DuplicateAddChildThrows) {
 }
 
 TEST(AgentEdges, RemoveUnknownChildThrows) {
-  Tables tables;
-  proto::HarpAgent agent(leaf_config(5, 1), tables.parts, tables.schedule);
+  proto::NetworkTables tables(10);  // rows for nodes 0..9
+  proto::HarpAgent agent(leaf_config(5, 1), tables);
   NullTransport t;
   agent.start(t);
   EXPECT_THROW(agent.remove_child(77, t), InvalidArgument);
 }
 
+TEST(AgentEdges, UnknownChildDemandNamesNodeAndChild) {
+  proto::NetworkTables tables(10);  // rows for nodes 0..9
+  const proto::HarpAgent agent(leaf_config(5, 1), tables);
+  try {
+    agent.child_demand(7, Direction::kUp);
+    FAIL() << "child_demand of an unknown child must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 5 has no child 7"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(AgentEdges, NonLeafJoinAndRelayRoamRejected) {
-  Tables tables;
-  proto::HarpAgent agent(leaf_config(5, 1), tables.parts, tables.schedule);
+  proto::NetworkTables tables(10);  // rows for nodes 0..9
+  proto::HarpAgent agent(leaf_config(5, 1), tables);
   NullTransport t;
   agent.start(t);
   EXPECT_THROW(agent.add_child({9, /*is_leaf=*/false, 0, 0, ~0u, ~0u}, t),
@@ -237,8 +244,8 @@ TEST(AgentEdges, NonLeafJoinAndRelayRoamRejected) {
 
 TEST(AgentEdges, AgentNeedsValidId) {
   proto::AgentConfig cfg;
-  Tables tables;
-  EXPECT_THROW((proto::HarpAgent{cfg, tables.parts, tables.schedule}),
+  proto::NetworkTables tables(10);  // rows for nodes 0..9
+  EXPECT_THROW((proto::HarpAgent{cfg, tables}),
                InvalidArgument);
 }
 

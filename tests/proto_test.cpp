@@ -9,6 +9,7 @@
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "loopback_agents.hpp"
+#include "obs/context.hpp"
 #include "proto/codec.hpp"
 #include "rt/channel.hpp"
 #include "rt/dispatcher.hpp"
@@ -357,6 +358,7 @@ TEST(Agents, DynamicAdjustmentMatchesEngine) {
             << "child " << s.child << " link " << v;
       }
     }
+    ASSERT_TRUE(same_interfaces(network, engine)) << "child " << s.child;
   }
 }
 
@@ -364,10 +366,16 @@ TEST(Agents, RejectionRollsBackDistributedState) {
   const Net n = echo_net(net::testbed_tree());
   LoopbackAgents network(n.topo, n.traffic, frame(), n.tasks);
   network.bootstrap();
+  core::HarpEngine engine(n.topo, n.traffic, frame(), n.tasks);
+  ASSERT_TRUE(same_interfaces(network, engine));
   const auto before_parts = network.current_partitions();
   const NodeId parent = n.topo.parent(49);
 
   const auto stats = network.change_demand(49, Direction::kUp, 500);
+  ASSERT_EQ(engine.request_demand(49, Direction::kUp, 500).kind,
+            core::AdjustmentKind::kRejected);
+  // The rejected escalation left every interface row as it was.
+  EXPECT_TRUE(same_interfaces(network, engine));
   EXPECT_GT(stats.count.count(MsgType::kReject) ? stats.count.at(MsgType::kReject)
                                                 : 0u,
             0u);
@@ -419,8 +427,183 @@ TEST(Agents, FuzzAgainstEngine) {
               << "seed " << seed << " step " << step;
         }
       }
+      ASSERT_TRUE(same_interfaces(network, engine))
+          << "seed " << seed << " step " << step;
     }
   }
+}
+
+// ------------------------------------------------------- hostile messages
+
+/// Keeps what an agent sends in reply.
+struct Recorder : Transport {
+  std::vector<Message> sent;
+  void send(Message msg) override { sent.push_back(std::move(msg)); }
+};
+
+/// Delivers `msg` straight to its destination agent and checks that the
+/// agent dropped it before any state change: no reply, nothing pending,
+/// one `harp.agent.msgs_rejected`, and the fingerprint and both interface
+/// tables as they were.
+void expect_dropped(rt::ProtoRuntime& network, const Message& msg) {
+  obs::Context ctx;
+  const obs::ScopedContext scoped(ctx);
+  const std::uint64_t fingerprint = network.fingerprint();
+  const core::InterfaceSet up = network.current_interfaces(Direction::kUp);
+  const core::InterfaceSet down =
+      network.current_interfaces(Direction::kDown);
+  Recorder t;
+  network.agent(msg.dst).on_message(msg, t);
+  EXPECT_TRUE(t.sent.empty());
+  EXPECT_FALSE(network.agent(msg.dst).adjustment_pending());
+  EXPECT_EQ(ctx.metrics.counter("harp.agent.msgs_rejected").value(), 1u);
+  EXPECT_EQ(network.fingerprint(), fingerprint);
+  EXPECT_TRUE(network.current_interfaces(Direction::kUp) == up);
+  EXPECT_TRUE(network.current_interfaces(Direction::kDown) == down);
+}
+
+/// The bootstrapped testbed network beside its engine oracle, and one
+/// relay `v` in it with a non-leaf child: its parent, that child, and a
+/// node that is neither.
+class HostileMessages : public testing::Test {
+ protected:
+  HostileMessages() {
+    network.bootstrap();
+    const net::Topology& topo = n.topo;
+    for (v = 1; v < topo.size(); ++v) {
+      const auto kids = topo.children(v);
+      const auto relay = std::find_if(kids.begin(), kids.end(), [&](NodeId c) {
+        return !topo.is_leaf(c);
+      });
+      if (relay == kids.end()) continue;
+      child = *relay;
+      break;
+    }
+    parent = topo.parent(v);
+    stranger = 1;
+    while (stranger == v || stranger == parent ||
+           topo.parent(stranger) == v) {
+      ++stranger;
+    }
+  }
+
+  /// An interface item `child` may report to `v`.
+  IntfItem item() const {
+    return {static_cast<std::uint8_t>(n.topo.link_layer(v) + 1),
+            Direction::kUp, 3, 1};
+  }
+
+  /// After a dropped message the agents still track the engine: one
+  /// escalating change lands on the same interfaces and fingerprint.
+  void expect_still_matches_engine() {
+    network.change_demand(5, Direction::kUp, 9);
+    ASSERT_TRUE(engine.request_demand(5, Direction::kUp, 9).satisfied);
+    EXPECT_TRUE(same_interfaces(network, engine));
+    EXPECT_EQ(network.fingerprint(),
+              rt::state_fingerprint(engine.partitions(), engine.schedule()));
+  }
+
+  const Net n = echo_net(net::testbed_tree());
+  LoopbackAgents network{n.topo, n.traffic, frame(), n.tasks};
+  core::HarpEngine engine{n.topo, n.traffic, frame(), n.tasks};
+  NodeId v{kNoNode};
+  NodeId parent{kNoNode};
+  NodeId child{kNoNode};
+  NodeId stranger{kNoNode};
+};
+
+TEST_F(HostileMessages, CleanRunRejectsNothing) {
+  obs::Context ctx;
+  const obs::ScopedContext scoped(ctx);
+  LoopbackAgents fresh(n.topo, n.traffic, frame(), n.tasks);
+  fresh.bootstrap();
+  fresh.change_demand(5, Direction::kUp, 9);
+  fresh.change_demand(49, Direction::kUp, 500);  // rejected escalation
+  // Touched only on a rejection, so clean trials keep their fingerprint.
+  EXPECT_EQ(ctx.metrics.find_counter("harp.agent.msgs_rejected"), nullptr);
+}
+
+TEST_F(HostileMessages, PutIntfFromNonChildIsDropped) {
+  expect_dropped(network, {MsgType::kPutIntf, stranger, v,
+                           IntfPayload{{item()}}});
+  expect_still_matches_engine();
+}
+
+TEST_F(HostileMessages, PostIntfFromNonChildIsDropped) {
+  // A relay that still awaits its children's reports.
+  LoopbackAgents fresh(n.topo, n.traffic, frame(), n.tasks);
+  Recorder t;
+  fresh.agent(v).start(t);
+  ASSERT_TRUE(t.sent.empty());
+  expect_dropped(fresh, {MsgType::kPostIntf, stranger, v,
+                         IntfPayload{{item()}}});
+}
+
+TEST_F(HostileMessages, PostIntfWhenNoneIsAwaitedIsDropped) {
+  expect_dropped(network, {MsgType::kPostIntf, child, v,
+                           IntfPayload{{item()}}});
+  expect_still_matches_engine();
+}
+
+TEST_F(HostileMessages, PutIntfWithItemCountOtherThanOneIsDropped) {
+  expect_dropped(network, {MsgType::kPutIntf, child, v, IntfPayload{}});
+  expect_dropped(network, {MsgType::kPutIntf, child, v,
+                           IntfPayload{{item(), item()}}});
+  expect_still_matches_engine();
+}
+
+TEST_F(HostileMessages, IntfItemOutsideTheSubtreeOrFrameIsDropped) {
+  IntfItem own_layer = item();
+  own_layer.layer = static_cast<std::uint8_t>(n.topo.link_layer(v));
+  IntfItem empty = item();
+  empty.slots = 0;
+  IntfItem too_wide = item();
+  too_wide.channels = static_cast<std::uint8_t>(frame().num_channels + 1);
+  for (const IntfItem& bad : {own_layer, empty, too_wide}) {
+    expect_dropped(network, {MsgType::kPutIntf, child, v,
+                             IntfPayload{{bad}}});
+  }
+  expect_still_matches_engine();
+}
+
+TEST_F(HostileMessages, PartGrantFromNonParentIsDropped) {
+  const core::Partition own = network.agent(v).partition(
+      Direction::kUp, n.topo.link_layer(v));
+  ASSERT_FALSE(own.empty());
+  const PartItem grant = to_part_item(n.topo.link_layer(v), Direction::kUp,
+                                      {own.comp, own.slot + 1, own.channel});
+  for (MsgType type : {MsgType::kPostPart, MsgType::kPutPart}) {
+    expect_dropped(network, {type, stranger, v, PartPayload{{grant}}});
+    expect_dropped(network, {type, child, v, PartPayload{{grant}}});
+  }
+  expect_still_matches_engine();
+}
+
+TEST_F(HostileMessages, PartGrantOutsideTheFrameIsDropped) {
+  const int layer = n.topo.link_layer(v);
+  const core::Partition past_end{{4, 1}, frame().data_slots - 2, 0};
+  const core::Partition above_top{
+      {4, 2}, 0, static_cast<ChannelId>(frame().num_channels - 1)};
+  for (const core::Partition& bad : {past_end, above_top}) {
+    expect_dropped(network,
+                   {MsgType::kPutPart, parent, v,
+                    PartPayload{{to_part_item(layer, Direction::kUp, bad)}}});
+  }
+  expect_dropped(network,
+                 {MsgType::kPutPart, parent, v,
+                  PartPayload{{to_part_item(layer - 1, Direction::kUp,
+                                            {{4, 1}, 0, 0})}}});
+  expect_still_matches_engine();
+}
+
+TEST_F(HostileMessages, RejectWithNothingPendingIsDropped) {
+  ASSERT_FALSE(network.agent(v).adjustment_pending());
+  expect_dropped(network,
+                 {MsgType::kReject, parent, v,
+                  RejectPayload{static_cast<std::uint8_t>(
+                                    n.topo.link_layer(v)),
+                                Direction::kUp}});
+  expect_still_matches_engine();
 }
 
 // ------------------------------------------- event-driven lossy runtime
