@@ -1,38 +1,34 @@
 // Experiment P2 — bootstrap and full-hierarchy-recompute scaling bench.
 //
-// Pins the tentpole of the scale-out work: full hierarchy recomputation —
-// bottom-up interface generation for both directions (Alg. 1), the phase
-// the compose memo makes incremental and the worker pool parallelizes — at
-// 220 / 1k / 5k / 10k nodes, measured three ways on identical inputs:
-//   scratch   no memo, serial            — the pre-change from-scratch
-//             path, kept callable so every run carries its own baseline;
-//   cached    warm ComposeMemo, serial   — memoized subtree interfaces;
-//   parallel  warm ComposeMemo + shared WorkerPool (per-layer rounds).
+// Pins full hierarchy recomputation — bottom-up interface generation for
+// both directions (Alg. 1), the phase the compose memo makes incremental —
+// at 220 / 1k / 5k / 10k nodes, measured two ways on identical inputs:
+//   scratch   no memo — the from-scratch path, kept callable so every
+//             run carries its own baseline;
+//   cached    warm ComposeMemo — memoized subtree interfaces.
 //
 // Protocol per scale: a seeded demand-churn batch mutates the traffic
 // matrix (with the matching memo invalidations), then each variant
 // regenerates both interface sets; the results are asserted deeply equal
 // every round, and the medians over rounds_for(nodes) rounds (variant
-// timing order rotating per round) give
-//   speedup_cached   = scratch / cached,
-//   speedup_parallel = scratch / parallel.
-// In parallel, three full HarpEngines (cache off / cache on / cache+pool)
-// bootstrap cold (timed), absorb the same churn through request_demand,
-// and recompact() each round — their state_fingerprint()s are asserted
-// bit-identical throughout. recompact() wall time is reported as context:
-// it includes schedule regeneration and state save/restore, which the
-// memo does not touch.
+// timing order alternating per round) give
+//   speedup_cached = scratch / cached.
+// Beside that, two full HarpEngines (cache off / cache on) bootstrap cold
+// (timed), absorb the same churn through request_demand, and recompact()
+// each round — their state_fingerprint()s are asserted bit-identical
+// throughout. recompact() wall time is reported as context: it includes
+// schedule regeneration and state save/restore, which the memo does not
+// touch.
 //
 // The bench checks itself and exits non-zero when a check fails: each
 // scale's fingerprint must equal its pinned literal (seed-determined, so
 // the same on every machine), and the same-run speedups must clear their
 // floors — cached >= 1.0 at the smallest scale (the memo must never make
-// small trees slower than scratch), cached >= 1.8 and parallel >= 2.5 at
-// the largest.
+// small trees slower than scratch) and cached >= 1.8 at the largest.
 //
 // The JSON report (harp-obs/1) carries results.scale.nodes_<N> blocks
-// plus a results.compose_cache summary (totals of the serial rig memos
-// across all scales).
+// plus a results.compose_cache summary (the rig memo's totals across all
+// scales).
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -50,24 +46,22 @@
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
 #include "obs/obs.hpp"
-#include "runner/pool.hpp"
 
 using namespace harp;
 
 namespace {
 
 // Workload constants. Fixed — reports are only comparable across runs of
-// the identical workload.
+// the identical workload, and the round counts set the pinned
+// fingerprints.
 constexpr std::uint64_t kTopoSeed = 42;
 constexpr std::uint64_t kChurnSeed = 1009;
 constexpr int kNumLayers = 7;
-// Multiple of 3 so the rotating timing order (below) gives every variant
-// the lead position equally often.
 constexpr int kRounds = 9;
 
 /// Small networks regenerate in tens of microseconds, where scheduler and
 /// cache noise swamps a 9-round median; they get proportionally more
-/// rounds (still multiples of 3) so the gated speedup ratios are stable.
+/// rounds so the gated speedup ratios are stable.
 constexpr int rounds_for(std::size_t num_nodes) {
   return num_nodes <= 500 ? 5 * kRounds : num_nodes <= 2000 ? 2 * kRounds
                                                             : kRounds;
@@ -151,8 +145,8 @@ std::vector<ChurnOp> churn_batch(const net::Topology& topo, Rng& rng) {
 }
 
 /// Asserts all engines agree on the full-state digest; the bench fails
-/// hard on divergence (that would mean the memo or the parallel path is
-/// not a pure accelerator).
+/// hard on divergence (that would mean the memo is not a pure
+/// accelerator).
 void check_fingerprints(
     const char* when, std::size_t nodes,
     std::span<const std::unique_ptr<core::HarpEngine>> engines) {
@@ -172,15 +166,15 @@ void check_fingerprints(
 /// results are released first, as the engine does: a memoized pass then
 /// updates the memo's node table in place instead of cloning it.
 void regenerate(const Workload& w, const net::TrafficMatrix& traffic,
-                core::ComposeMemo* memo, runner::WorkerPool* pool,
-                core::InterfaceSet& up, core::InterfaceSet& down) {
+                core::ComposeMemo* memo, core::InterfaceSet& up,
+                core::InterfaceSet& down) {
   const int channels = static_cast<int>(w.frame.num_channels);
   up = core::InterfaceSet();
   up = core::generate_interfaces(w.topo, traffic, Direction::kUp, channels,
-                                 /*own_slack=*/0, memo, pool);
+                                 /*own_slack=*/0, memo);
   down = core::InterfaceSet();
   down = core::generate_interfaces(w.topo, traffic, Direction::kDown,
-                                   channels, /*own_slack=*/0, memo, pool);
+                                   channels, /*own_slack=*/0, memo);
 }
 
 }  // namespace
@@ -191,20 +185,14 @@ int main(int argc, char** argv) {
   // Bare hot path: phase timers and trace events off, counters stay on.
   obs::disable();
 
-  // One shared pool for every parallel variant (also exercises the
-  // external-pool wiring of EngineOptions).
-  runner::WorkerPool pool(runner::WorkerPool::default_jobs());
-
   bench::JsonReport report("perf_bootstrap_scale", args);
   obs::Json& results = report.results();
   results["layers"] = static_cast<std::int64_t>(kNumLayers);
   results["rounds"] = static_cast<std::int64_t>(kRounds);
   results["churn_ops_per_round"] =
       static_cast<std::int64_t>(kChurnOpsPerRound);
-  results["parallel_jobs"] = static_cast<std::int64_t>(pool.jobs());
 
-  bench::Table table({"nodes", "scratch ms", "cached ms", "parallel ms",
-                      "speedup cached", "speedup parallel"},
+  bench::Table table({"nodes", "scratch ms", "cached ms", "speedup cached"},
                      18);
 
   core::ComposeMemo::Stats cache_total{};
@@ -214,11 +202,10 @@ int main(int argc, char** argv) {
 
     // Full engines, one per variant, for the end-to-end determinism
     // contract (and cold-bootstrap / recompact context timings). Variant
-    // order everywhere: scratch (the pre-change path), cached, parallel.
+    // order everywhere: scratch, cached.
     const core::EngineOptions variants[] = {
-        {.compose_cache = false, .jobs = 1},
-        {.compose_cache = true, .jobs = 1},
-        {.compose_cache = true, .pool = &pool},
+        {.compose_cache = false},
+        {.compose_cache = true},
     };
     std::vector<std::unique_ptr<core::HarpEngine>> engines;
     std::vector<double> bootstrap_ms;
@@ -230,23 +217,18 @@ int main(int argc, char** argv) {
     }
     check_fingerprints("bootstrap", num_nodes, engines);
 
-    // The pipeline timing rig: its own traffic matrix and one warm memo
-    // per memoized variant, all churned identically. Separate memos keep
-    // the cached and parallel measurements independent — each pass pays
-    // for the same invalidated chains.
+    // The pipeline timing rig: its own traffic matrix and a warm memo,
+    // churned like the engines.
     net::TrafficMatrix traffic = net::derive_traffic(w.topo, w.tasks,
                                                      w.frame);
-    core::ComposeMemo memo_serial(w.topo.size());
-    core::ComposeMemo memo_par(w.topo.size());
-    core::InterfaceSet scratch_up, scratch_down, cached_up, cached_down,
-        par_up, par_down;
-    regenerate(w, traffic, &memo_serial, nullptr, cached_up, cached_down);
-    regenerate(w, traffic, &memo_par, &pool, par_up, par_down);
+    core::ComposeMemo memo(w.topo.size());
+    core::InterfaceSet scratch_up, scratch_down, cached_up, cached_down;
+    regenerate(w, traffic, &memo, cached_up, cached_down);
 
     Rng churn_rng(derive_seed(kChurnSeed, num_nodes));
     const int rounds = rounds_for(num_nodes);
-    Stats gen_ms[3];
-    Stats recompact_ms[3];
+    Stats gen_ms[2];
+    Stats recompact_ms[2];
     for (int round = 0; round < rounds; ++round) {
       const std::vector<ChurnOp> ops = churn_batch(w.topo, churn_rng);
 
@@ -270,37 +252,32 @@ int main(int argc, char** argv) {
       // regeneration per variant on identical state.
       for (const ChurnOp& op : ops) {
         traffic.set_demand(op.child, op.dir, op.cells);
-        const NodeId parent = w.topo.parent(op.child);
-        memo_serial.invalidate_chain(w.topo, op.dir, parent);
-        memo_par.invalidate_chain(w.topo, op.dir, parent);
+        memo.invalidate_chain(w.topo, op.dir, w.topo.parent(op.child));
       }
-      // Timing order rotates per round: whichever variant runs first
+      // Timing order alternates per round: whichever variant runs first
       // after the engine recompacts above starts with their working sets
       // evicted from the CPU caches. At small scales a pass is tens of
       // microseconds, so a fixed order hands the first variant a constant
       // handicap comparable to the effect being measured (the phantom
-      // 220-node "cached slower than scratch" regression). Rotation
+      // 220-node "cached slower than scratch" regression). Alternation
       // spreads the cold start evenly; the medians compare like to like.
       struct Variant {
         int idx;
         core::ComposeMemo* memo;
-        runner::WorkerPool* p;
         core::InterfaceSet* up;
         core::InterfaceSet* down;
       };
-      const Variant timed[3] = {
-          {0, nullptr, nullptr, &scratch_up, &scratch_down},
-          {1, &memo_serial, nullptr, &cached_up, &cached_down},
-          {2, &memo_par, &pool, &par_up, &par_down},
+      const Variant timed[2] = {
+          {0, nullptr, &scratch_up, &scratch_down},
+          {1, &memo, &cached_up, &cached_down},
       };
-      for (int k = 0; k < 3; ++k) {
-        const Variant& v = timed[(round + k) % 3];
+      for (int k = 0; k < 2; ++k) {
+        const Variant& v = timed[(round + k) % 2];
         bench::Timer t;
-        regenerate(w, traffic, v.memo, v.p, *v.up, *v.down);
+        regenerate(w, traffic, v.memo, *v.up, *v.down);
         gen_ms[v.idx].add(t.seconds() * 1e3);
       }
-      if (!(scratch_up == cached_up && scratch_down == cached_down &&
-            scratch_up == par_up && scratch_down == par_down)) {
+      if (!(scratch_up == cached_up && scratch_down == cached_down)) {
         std::fprintf(stderr,
                      "INTERFACE DIVERGENCE (round %d, %zu nodes)\n", round,
                      num_nodes);
@@ -310,20 +287,15 @@ int main(int argc, char** argv) {
 
     const double scratch = gen_ms[0].median();
     const double cached = gen_ms[1].median();
-    const double parallel = gen_ms[2].median();
     const double speedup_cached = cached > 0.0 ? scratch / cached : 0.0;
-    const double speedup_parallel =
-        parallel > 0.0 ? scratch / parallel : 0.0;
 
-    const core::ComposeMemo::Stats stats = memo_serial.stats();
+    const core::ComposeMemo::Stats stats = memo.stats();
     cache_total.hits += stats.hits;
     cache_total.misses += stats.misses;
     cache_total.invalidations += stats.invalidations;
 
     table.row({std::to_string(num_nodes), bench::fmt(scratch, 3),
-               bench::fmt(cached, 3), bench::fmt(parallel, 3),
-               bench::fmt(speedup_cached, 2),
-               bench::fmt(speedup_parallel, 2)});
+               bench::fmt(cached, 3), bench::fmt(speedup_cached, 2)});
 
     obs::Json& scale =
         results["scale"]["nodes_" + std::to_string(num_nodes)];
@@ -332,15 +304,11 @@ int main(int argc, char** argv) {
     scale["frame_length"] = static_cast<std::int64_t>(w.frame.length);
     scale["recompute_scratch_ms"] = scratch;
     scale["recompute_cached_ms"] = cached;
-    scale["recompute_parallel_ms"] = parallel;
     scale["speedup_cached"] = speedup_cached;
-    scale["speedup_parallel"] = speedup_parallel;
     scale["bootstrap_scratch_ms"] = bootstrap_ms[0];
     scale["bootstrap_cached_ms"] = bootstrap_ms[1];
-    scale["bootstrap_parallel_ms"] = bootstrap_ms[2];
     scale["recompact_wall_scratch_ms"] = recompact_ms[0].median();
     scale["recompact_wall_cached_ms"] = recompact_ms[1].median();
-    scale["recompact_wall_parallel_ms"] = recompact_ms[2].median();
     scale["cache_hits"] = static_cast<std::int64_t>(stats.hits);
     scale["cache_misses"] = static_cast<std::int64_t>(stats.misses);
     const std::string fp = bench::hex64(engines.front()->state_fingerprint());
@@ -353,7 +321,6 @@ int main(int argc, char** argv) {
     }
     if (&sc == &kScales[std::size(kScales) - 1]) {
       checks.floor(label + " speedup_cached", speedup_cached, 1.8);
-      checks.floor(label + " speedup_parallel", speedup_parallel, 2.5);
     }
   }
 

@@ -183,12 +183,6 @@ Admission Fleet::create_tenant(TenantSpec spec) {
       ++live_tenants_;
       ++tenants_admitted_;
 
-      // Engine-affinity: the engine is built, mutated and destroyed on
-      // its shard's thread, serially. Strip any threading the spec asked
-      // for.
-      spec.engine.jobs = 1;
-      spec.engine.pool = nullptr;
-
       Shard::Task task;
       task.kind = Shard::Task::Kind::kBootstrap;
       task.tenant = result.id;

@@ -62,10 +62,9 @@ namespace harp::fleet {
 /// never reused, so a stale handle can only miss, not alias).
 using TenantId = std::uint64_t;
 
-/// Everything needed to bootstrap one tenant's network. `engine` options
-/// are honored except for the threading knobs: the fleet forces jobs = 1
-/// and no external pool (engine-affinity — a shard thread IS the
-/// engine's one thread).
+/// Everything needed to bootstrap one tenant's network. The engine is
+/// built, mutated and destroyed on its shard's thread (engine-affinity:
+/// a shard thread IS the engine's one thread).
 struct TenantSpec {
   net::Topology topo;
   std::vector<net::Task> tasks;

@@ -295,17 +295,11 @@ std::optional<HopStep> adjust_hop(
   return std::nullopt;
 }
 
-HopStep recompose_hop(const ResourceComponent& box,
-                      const std::vector<ChildComponent>& children,
+HopStep recompose_hop(const std::vector<ChildComponent>& children,
                       int max_channels) {
   Composition composed = compose_components(children, max_channels);
   HARP_ASSERT(!composed.composite.empty());
-  // The fresh composition may fit the existing box even though the
-  // incremental adjustment failed: keep the box and its reported size.
-  const bool fits = !box.empty() && composed.composite.slots <= box.slots &&
-                    composed.composite.channels <= box.channels;
-  return HopStep{fits, fits ? box : composed.composite,
-                 std::move(composed.layout)};
+  return HopStep{false, composed.composite, std::move(composed.layout)};
 }
 
 }  // namespace harp::core

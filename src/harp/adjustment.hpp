@@ -101,10 +101,11 @@ std::optional<HopStep> adjust_hop(
     const ResourceComponent& updated, GrowSide side, int max_channels);
 
 /// The rest of the hop: recompose the layer (Alg. 1) over `children`, the
-/// requester already at its new size. Absorbed when the composite fits
-/// `box`, escalated otherwise.
-HopStep recompose_hop(const ResourceComponent& box,
-                      const std::vector<ChildComponent>& children,
+/// requester already at its new size, and escalate the composite.
+/// adjust_hop leaves a hop to it only when the parent holds no box at the
+/// layer: with a box, anchored growth succeeds unless the requester is
+/// wider than the frame, and then no composition fits either.
+HopStep recompose_hop(const std::vector<ChildComponent>& children,
                       int max_channels);
 
 }  // namespace harp::core

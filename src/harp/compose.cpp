@@ -107,8 +107,8 @@ void compose_components_into(std::span<const ChildComponent> children,
 
 Composition compose_components(const std::vector<ChildComponent>& children,
                                int num_channels) {
-  // Per-thread scratch: serial callers (climb, bootstrap) and each worker
-  // of parallel composition all reuse their own buffers.
+  // Per-thread scratch: engines on distinct threads (trial workers, fleet
+  // shards) each reuse their own buffers.
   thread_local ComposeScratch scratch;
   Composition out;
   compose_components_into(children, num_channels, scratch, out);

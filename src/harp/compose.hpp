@@ -39,8 +39,8 @@ struct Composition {
 
 /// Reusable buffers for compose_components_into: the rect list and the
 /// two strip-packing passes of the double mapping, plus the packer's own
-/// scratch. One per thread (or per worker slot) keeps the composition hot
-/// path allocation-free in steady state.
+/// scratch. One per thread keeps the composition hot path allocation-free
+/// in steady state.
 struct ComposeScratch {
   packing::PackScratch pack;
   std::vector<packing::Rect> rects;

@@ -16,10 +16,8 @@
 // `audit::check_compose_cache` re-derives the equality at runtime
 // (docs/STATIC_ANALYSIS.md).
 //
-// Concurrency: the memo is engine-owned (no lock; the engine-affinity
-// contract). During a parallel generation pass each worker writes only
-// its own node's validity slot and node-table entry, and counts its work
-// in its own slot; the caller adds the counts up after the last round.
+// Concurrency: the memo is engine-owned and used only by the engine's one
+// thread (the engine-affinity contract), so it takes no lock.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 #include "harp/adjustment.hpp"
 #include "harp/compose.hpp"
 #include "obs/obs.hpp"
-#include "runner/pool.hpp"
 
 /// Re-derives every engine invariant from scratch (partition disjointness
 /// and containment, interface/composition consistency, schedule rules,
@@ -146,17 +145,6 @@ HarpEngine::HarpEngine(net::Topology topo, net::TrafficMatrix traffic,
   if (options_.compose_cache) {
     memo_ = std::make_unique<ComposeMemo>(topo_.size());
   }
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    const std::size_t jobs = options_.jobs == 0
-                                 ? runner::WorkerPool::default_jobs()
-                                 : options_.jobs;
-    if (jobs > 1) {
-      owned_pool_ = std::make_unique<runner::WorkerPool>(jobs);
-      pool_ = owned_pool_.get();
-    }
-  }
   bootstrap();
 }
 
@@ -164,10 +152,6 @@ HarpEngine::HarpEngine(net::Topology topo, std::vector<net::Task> tasks,
                        net::SlotframeConfig frame, EngineOptions options)
     : HarpEngine(topo, derive_traffic(topo, tasks, frame), frame, tasks,
                  options) {}
-
-HarpEngine::~HarpEngine() = default;
-HarpEngine::HarpEngine(HarpEngine&&) noexcept = default;
-HarpEngine& HarpEngine::operator=(HarpEngine&&) noexcept = default;
 
 void HarpEngine::bootstrap() {
   HARP_OBS_SCOPE("harp.engine.bootstrap_ns");
@@ -181,10 +165,10 @@ void HarpEngine::bootstrap() {
     up_ = InterfaceSet();
     down_ = InterfaceSet();
     up_ = generate_interfaces(topo_, traffic_, Direction::kUp, num_channels,
-                              options_.own_slack, memo_.get(), pool_);
+                              options_.own_slack, memo_.get());
     down_ = generate_interfaces(topo_, traffic_, Direction::kDown,
-                                num_channels, options_.own_slack, memo_.get(),
-                                pool_);
+                                num_channels, options_.own_slack,
+                                memo_.get());
   }
   ++recompute_count_;
   if (memo_) publish_cache_stats();
@@ -553,6 +537,9 @@ HarpEngine::TopoChangeReport HarpEngine::reparent_leaf(NodeId leaf,
   }
   const NodeId old_parent = topo_.parent(leaf);
   if (new_parent == old_parent) return {leaf, {}, {}};
+  // Build the rewired tree first: with_parent rejects an unknown parent
+  // and a cycle (the leaf under itself) before any state changes.
+  net::Topology moved = topo_.with_parent(leaf, new_parent);
   engine_obs().roams->inc();
 
   const int old_up = traffic_.uplink(leaf);
@@ -573,10 +560,10 @@ HarpEngine::TopoChangeReport HarpEngine::reparent_leaf(NodeId leaf,
     ifs.clear_node(leaf);
     ifs.erase_placement(old_parent, leaf);
   }
-  // ...rewire (with_parent validates against cycles), refreshing the RM
-  // priorities whose paths changed. Priorities feed every parent's RM
-  // order, so this is one of the few spots that needs a full rebuild.
-  topo_ = topo_.with_parent(leaf, new_parent);
+  // ...rewire, refreshing the RM priorities whose paths changed.
+  // Priorities feed every parent's RM order, so this is one of the few
+  // spots that needs a full rebuild.
+  topo_ = std::move(moved);
   if (memo_) {
     // Both endpoints' child lists changed; their ancestor chains (in the
     // rewired tree) are stale in both directions.
@@ -768,7 +755,7 @@ AdjustmentReport HarpEngine::climb(NodeId start, int layer, Direction dir,
         const ResourceComponent cc = ifs.component(c, layer);
         if (!cc.empty()) children.push_back({c, cc});
       }
-      step = recompose_hop(box, children, max_channels);
+      step = recompose_hop(children, max_channels);
     }
     if (step->absorbed) {
       txn.set_layout(p, layer, std::move(step->layout));

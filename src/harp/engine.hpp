@@ -90,14 +90,6 @@ struct EngineOptions {
   /// subtree's interface. Pure accelerator — the produced state is
   /// bit-identical either way (audited by check_compose_cache).
   bool compose_cache = true;
-  /// Worker threads for from-scratch interface generation: 1 = serial
-  /// (default), 0 = all hardware threads, n = exactly n. Also a pure
-  /// accelerator: results are identical for any value. Ignored when
-  /// `pool` is set.
-  std::size_t jobs = 1;
-  /// External worker pool to reuse across engines (overrides `jobs`; not
-  /// owned, must outlive the engine). jobs() == 1 means serial.
-  runner::WorkerPool* pool = nullptr;
 };
 
 class HarpEngine {
@@ -111,12 +103,6 @@ class HarpEngine {
   /// Convenience: derives the traffic matrix from the tasks.
   HarpEngine(net::Topology topo, std::vector<net::Task> tasks,
              net::SlotframeConfig frame, EngineOptions options = {});
-
-  // Out-of-line so the header needs no complete runner::WorkerPool.
-  // Movable, not copyable (the compose memo and owned pool are unique).
-  ~HarpEngine();
-  HarpEngine(HarpEngine&&) noexcept;
-  HarpEngine& operator=(HarpEngine&&) noexcept;
 
   const net::Topology& topology() const { return topo_; }
   const net::TrafficMatrix& traffic() const { return traffic_; }
@@ -180,9 +166,9 @@ class HarpEngine {
   /// Deterministic 64-bit digest (FNV-1a over integers only, so it is
   /// identical across machines) of the full resource state: both
   /// interface sets, the partition table and the schedule. The equality
-  /// oracle behind the tentpole's determinism contract: the fingerprint
-  /// must be bit-identical with the compose cache on or off and for any
-  /// `jobs` value (tests/compose_cache_test.cpp, bench gate).
+  /// oracle behind the determinism contract: the fingerprint must be
+  /// bit-identical with the compose cache on or off
+  /// (tests/compose_cache_test.cpp, bench/perf_bootstrap_scale).
   std::uint64_t state_fingerprint() const;
 
   /// Compose-memo totals since construction; zeros when the memo is
@@ -252,10 +238,6 @@ class HarpEngine {
 
   /// Subtree-interface memo (null when options_.compose_cache is false).
   std::unique_ptr<ComposeMemo> memo_;
-  /// Pool owned by this engine when options_.jobs asked for parallelism.
-  std::unique_ptr<runner::WorkerPool> owned_pool_;
-  /// Pool used for generation: external, owned, or null (serial).
-  runner::WorkerPool* pool_{nullptr};
   /// Full recomputations so far; the audit layer samples the expensive
   /// cache-soundness oracle on power-of-two counts.
   std::uint64_t recompute_count_{0};

@@ -9,14 +9,13 @@
 #include "common/error.hpp"
 #include "harp/compose.hpp"
 #include "harp/compose_cache.hpp"
-#include "obs/obs.hpp"
-#include "runner/pool.hpp"
 
 namespace harp::core {
 namespace {
 
-/// Per-thread buffers for one node's derivation. Worker threads of a
-/// parallel pass and the caller's serial path each get their own.
+/// Per-thread buffers for one node's derivation. Distinct engines run
+/// concurrently (run_fleet trial workers, fleet shards), so each thread
+/// gets its own.
 struct GenScratch {
   ComposeScratch compose;
   /// Children's components bucketed per composed layer (index
@@ -144,16 +143,7 @@ ResourceComponent own_layer_component(const net::Topology& topo,
 InterfaceSet generate_interfaces(const net::Topology& topo,
                                  const net::TrafficMatrix& traffic,
                                  Direction dir, int num_channels,
-                                 int own_slack) {
-  return generate_interfaces(topo, traffic, dir, num_channels, own_slack,
-                             nullptr, nullptr);
-}
-
-InterfaceSet generate_interfaces(const net::Topology& topo,
-                                 const net::TrafficMatrix& traffic,
-                                 Direction dir, int num_channels,
-                                 int own_slack, ComposeMemo* memo,
-                                 runner::WorkerPool* pool) {
+                                 int own_slack, ComposeMemo* memo) {
   // Composition would reject this per call; checking once up front keeps
   // the invalid-argument contract even for nodes whose layers all turn
   // out empty (whose compositions are now skipped entirely).
@@ -192,17 +182,15 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
     ifs = InterfaceSet(topo.size());
   }
 
-  // Serial passes that derive every internal node (no memo, the first
-  // pass, or every bit dropped) allocate all their interfaces in one block
-  // (see InterfacePool above). Incremental passes allocate per stale node:
+  // Passes that derive every internal node (no memo, the first pass, or
+  // every bit dropped) allocate all their interfaces in one block (see
+  // InterfacePool above). Incremental passes allocate per stale node:
   // their few derivations do not pay for a block, and an old block stays
-  // alive only as long as the valid entries that point into it. Parallel
-  // workers never use the block (they would race on the fill cursor).
+  // alive only as long as the valid entries that point into it.
   const std::vector<NodeId>& internal = topo.internal_bottom_up();
-  const bool serial = pool == nullptr || pool->jobs() <= 1;
   InterfacePool pool_storage;
   InterfacePool* ipool = nullptr;
-  if (serial && !internal.empty() &&
+  if (!internal.empty() &&
       (valid == nullptr ||
        std::none_of(internal.begin(), internal.end(),
                     [&](NodeId v) { return (*valid)[v] != 0; }))) {
@@ -211,25 +199,17 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
     ipool = &pool_storage;
   }
 
-  // Nodes one pass (or one worker slot) left untouched and re-derived.
-  struct alignas(64) PassCounts {
-    std::uint64_t hits{0};
-    std::uint64_t misses{0};
-  };
-
-  // Shared by the serial and parallel paths. Thread safety of the parallel
-  // case: the node table is detached up front, then a worker writes only
-  // `node`'s slots of ifs/valid (distinct objects per node) and reads
-  // only children finalized in earlier rounds.
-  // Called on internal nodes only (the traversal orders below skip
-  // leaves; leaves carry no interface).
-  const auto process = [&](NodeId node, PassCounts& counts) {
+  // Deepest first, so every child's entry is final before its parent's
+  // derivation reads it. Leaves carry no interface and are skipped.
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (NodeId node : internal) {
     if (valid != nullptr) {
       if ((*valid)[node] != 0) {
         // Still valid: the last result's content for this subtree IS the
         // from-scratch derivation.
-        ++counts.hits;
-        return;
+        ++hits;
+        continue;
       }
       // Derive from a clean slate so no layer of the stale snapshot
       // survives (the snapshot itself stays intact for its other owners).
@@ -237,55 +217,13 @@ InterfaceSet generate_interfaces(const net::Topology& topo,
     }
     derive_interface(topo, traffic, dir, num_channels, own_slack, node, ifs,
                      ipool);
-    ++counts.misses;
+    ++misses;
     // Validity is set only once the content is in place, so an exception
     // mid-pass can never leave a valid bit without its interface.
     if (valid != nullptr) (*valid)[node] = 1;
-  };
-
-  if (serial) {
-    PassCounts counts;
-    for (NodeId node : internal) process(node, counts);
-    if (memo != nullptr) {
-      memo->note_pass(counts.hits, counts.misses);
-      memo->last_result(dir) = ifs;
-    }
-    return ifs;
-  }
-
-  // Parallel per-layer rounds, deepest non-leaf layer first. The table is
-  // detached before the first round so no worker triggers the lazy
-  // copy-on-write clone. Each worker slot records into its own obs
-  // context (phase histograms preserved via the merge below; trace events
-  // from workers are dropped) and its own padded counts (no false
-  // sharing on the hot path).
-  ifs.detach();
-  std::vector<obs::Context> contexts(pool->jobs());
-  for (obs::Context& ctx : contexts) ctx.timing = obs::timing_enabled();
-  std::vector<PassCounts> slot_counts(pool->jobs());
-
-  for (int layer = topo.depth() - 1; layer >= 0; --layer) {
-    const std::vector<NodeId>& nodes = topo.internal_at_layer(layer);
-    if (nodes.empty()) continue;
-    // Batched dispatch: each claim hands a worker a contiguous run of
-    // nodes, whose subtree compositions it performs back to back — one
-    // fetch-add per batch instead of per node, and index-adjacent nodes
-    // tend to have their children's interfaces adjacent too. Batch size
-    // balances claim amortization against tail-end load balance across
-    // the layer's nodes.
-    const std::size_t batch =
-        std::clamp<std::size_t>(nodes.size() / (4 * pool->jobs()), 1, 64);
-    pool->run_blocked(nodes.size(), batch,
-                      [&](std::size_t slot, std::size_t i) {
-                        obs::ScopedContext scoped(contexts[slot]);
-                        process(nodes[i], slot_counts[slot]);
-                      });
-  }
-  for (obs::Context& ctx : contexts) {
-    obs::MetricsRegistry::global().merge(ctx.metrics);
   }
   if (memo != nullptr) {
-    for (const PassCounts& c : slot_counts) memo->note_pass(c.hits, c.misses);
+    memo->note_pass(hits, misses);
     memo->last_result(dir) = ifs;
   }
   return ifs;

@@ -15,10 +15,6 @@
 #include "harp/resource.hpp"
 #include "net/traffic.hpp"
 
-namespace harp::runner {
-class WorkerPool;
-}
-
 namespace harp::core {
 
 class ComposeMemo;
@@ -30,33 +26,18 @@ class ComposeMemo;
 /// cells available within the partition" of Sec. V that let traffic
 /// growth resolve locally instead of escalating, and that absorb loss
 /// retries. 0 = exact provisioning.
+///
+/// `memo` (may be null) is a pure accelerator — the output is identical
+/// either way. It keeps the last pass's result and a validity bit per
+/// node (harp/compose_cache.hpp): the pass takes that result over and
+/// re-derives, by Alg. 1, exactly the stale internal nodes, deepest
+/// first; valid nodes are left untouched.
 /// Throws InfeasibleError when some composition cannot fit M channels.
 InterfaceSet generate_interfaces(const net::Topology& topo,
                                  const net::TrafficMatrix& traffic,
                                  Direction dir, int num_channels,
-                                 int own_slack = 0);
-
-/// Accelerated from-scratch generation: identical output to the overload
-/// above for any (memo, pool) combination — both are pure accelerators.
-///
-/// `memo` (may be null) keeps the last pass's result and a validity bit
-/// per node (harp/compose_cache.hpp): the pass takes that result over and
-/// re-derives, by Alg. 1, exactly the stale internal nodes; valid nodes
-/// are left untouched.
-///
-/// `pool` (may be null, or jobs() == 1 for serial) composes node layers in
-/// parallel, deepest first: within one node-layer round every node's
-/// interface depends only on children finalized in earlier rounds, so
-/// workers never touch the same node's state. Batch completion barriers
-/// order the rounds. Worker-side phase timers land in per-slot contexts
-/// whose histograms are merged into the caller's registry after the last
-/// round; worker trace events are dropped (docs/OBSERVABILITY.md
-/// "Concurrency contract").
-InterfaceSet generate_interfaces(const net::Topology& topo,
-                                 const net::TrafficMatrix& traffic,
-                                 Direction dir, int num_channels,
-                                 int own_slack, ComposeMemo* memo,
-                                 runner::WorkerPool* pool);
+                                 int own_slack = 0,
+                                 ComposeMemo* memo = nullptr);
 
 /// Recomputes the own-layer (Case 1) component of `node` from current
 /// demands: [sum over children of demand (+ slack when non-zero), 1].

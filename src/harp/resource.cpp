@@ -129,10 +129,6 @@ void InterfaceSet::clear_node(NodeId node) {
   mutable_store().nodes[node].reset();
 }
 
-void InterfaceSet::detach() {
-  if (store_) mutable_store();
-}
-
 bool operator==(const InterfaceSet& a, const InterfaceSet& b) {
   if (a.store_ == b.store_) return true;  // same table (or both empty sets)
   if (a.num_nodes() != b.num_nodes()) return false;

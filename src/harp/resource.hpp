@@ -354,11 +354,6 @@ class InterfaceSet {
   /// re-deriving it so no layer of the old snapshot survives.
   void clear_node(NodeId node);
 
-  /// Makes this set the sole owner of its node table, cloning it if it is
-  /// shared. Parallel generation calls this up front so worker threads
-  /// never race on the lazy copy-on-write detach.
-  void detach();
-
   /// Deep equality (components and layouts, not pointer identity). The
   /// audit layer compares snapshots against post-rollback state to prove
   /// an undo was lossless.

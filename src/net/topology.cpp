@@ -171,21 +171,12 @@ Topology TopologyBuilder::build_from(const std::vector<NodeId>& parents) {
   t.depth_ = t.subtree_depth_[0];
 
   // The BFS above is exactly the top-down traversal order; keep it (and
-  // its reverse, plus the internal-node restrictions) so the
+  // its reverse, plus the internal-node restriction) so the
   // per-recompute traversals allocate nothing.
   t.top_down_ = std::move(bfs);
   t.bottom_up_.assign(t.top_down_.rbegin(), t.top_down_.rend());
   for (NodeId v : t.bottom_up_) {
     if (!t.children_[v].empty()) t.internal_bottom_up_.push_back(v);
-  }
-  if (t.depth_ > 0) {
-    t.internal_by_layer_.resize(static_cast<std::size_t>(t.depth_));
-    for (NodeId v : t.top_down_) {
-      if (!t.children_[v].empty()) {
-        t.internal_by_layer_[static_cast<std::size_t>(t.layer_[v])].push_back(
-            v);
-      }
-    }
   }
 
   static std::atomic<std::uint64_t> next_uid{0};

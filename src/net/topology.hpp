@@ -111,18 +111,6 @@ class Topology {
     return internal_bottom_up_;
   }
 
-  /// Internal nodes at an exact node-layer (valid layers 0 ..
-  /// depth() - 1; any internal node's children sit one layer deeper, so
-  /// no internal node lives at the deepest layer). Parallel generation
-  /// dispatches one round per layer over these.
-  const std::vector<NodeId>& internal_at_layer(int layer) const {
-    static const std::vector<NodeId> kEmpty{};
-    if (layer < 0 || static_cast<std::size_t>(layer) >= internal_by_layer_.size()) {
-      return kEmpty;
-    }
-    return internal_by_layer_[static_cast<std::size_t>(layer)];
-  }
-
   /// Path node -> ... -> gateway, inclusive on both ends.
   std::vector<NodeId> path_to_gateway(NodeId node) const;
 
@@ -162,11 +150,10 @@ class Topology {
   std::vector<NodeId> anc_flat_;
   std::vector<std::uint32_t> anc_off_;
   /// BFS order and its reverse, precomputed at build time, plus the
-  /// internal-node restrictions the generation hot paths iterate.
+  /// internal-node restriction the generation hot path iterates.
   std::vector<NodeId> top_down_;
   std::vector<NodeId> bottom_up_;
   std::vector<NodeId> internal_bottom_up_;
-  std::vector<std::vector<NodeId>> internal_by_layer_;
   std::uint64_t uid_ = 0;
   int depth_ = 0;
 };

@@ -274,8 +274,13 @@ bool HarpAgent::accepts(const Message& msg) const {
                                          : items.size() != 1) {
         return false;
       }
-      return has_child(msg.src) &&
-             std::all_of(items.begin(), items.end(), in_subtree);
+      if (!has_child(msg.src)) return false;
+      // Only relay children report at bootstrap: a leaf holds no
+      // interface, and one that relays later reports by PUT-intf.
+      if (msg.type == MsgType::kPostIntf && link(msg.src).is_leaf) {
+        return false;
+      }
+      return std::all_of(items.begin(), items.end(), in_subtree);
     }
     case MsgType::kPostPart:
     case MsgType::kPutPart: {
@@ -440,8 +445,7 @@ void HarpAgent::handle_put_intf(const Message& msg, Transport& t) {
       core::adjust_hop(box, ifs.layout(cfg_.id, layer), child, updated,
                        core::grow_side(dir), max_channels);
   if (!step) {
-    step = core::recompose_hop(box, child_components(dir, layer),
-                               max_channels);
+    step = core::recompose_hop(child_components(dir, layer), max_channels);
   }
   if (step->absorbed) {
     ifs.set_layout(cfg_.id, layer, std::move(step->layout));

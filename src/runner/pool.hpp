@@ -19,7 +19,7 @@
 // parameters are copied out under the lock when a worker joins a batch
 // and passed by value into the claim loop, so the hot path reads no
 // guarded state. A batch is open from dispatch until its indices are
-// drained and every worker that joined it has left; run_blocked then
+// drained and every worker that joined it has left; run_indexed then
 // closes it under the lock, and a worker that wakes later skips it. So
 // every worker either runs in a generation or skips it, and none can
 // outlive the batch parameters or claim a later batch's indices with an
@@ -64,17 +64,6 @@ class WorkerPool {
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Like run_indexed(), but workers claim contiguous blocks of `block`
-  /// indices per atomic fetch-add instead of one index at a time. For
-  /// many small tasks over index-adjacent data — per-node subtree
-  /// compositions above all (docs/KERNELS.md "Composition batching") —
-  /// this both amortizes the claim to 1/block fetch-adds and keeps each
-  /// worker walking neighboring nodes, which are also neighbors in the
-  /// interface pool. Completion-order nondeterminism is unchanged: every
-  /// index still runs exactly once, on exactly one worker.
-  void run_blocked(std::size_t count, std::size_t block,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Hardware concurrency with a sane floor (>= 1).
   static std::size_t default_jobs();
 
@@ -85,8 +74,7 @@ class WorkerPool {
   /// are shared, so the claim loop needs no lock.
   void work_off_batch(std::size_t slot,
                       const std::function<void(std::size_t, std::size_t)>& fn,
-                      std::size_t count, std::size_t block)
-      HARP_EXCLUDES(mu_);
+                      std::size_t count) HARP_EXCLUDES(mu_);
 
   Mutex mu_{LockRank::kWorkerPool, "runner.WorkerPool.mu"};
   CondVar batch_ready_;
@@ -97,7 +85,6 @@ class WorkerPool {
   const std::function<void(std::size_t, std::size_t)>* fn_
       HARP_GUARDED_BY(mu_){nullptr};
   std::size_t count_ HARP_GUARDED_BY(mu_){0};
-  std::size_t block_ HARP_GUARDED_BY(mu_){1};  // indices per fetch-add
   std::uint64_t generation_ HARP_GUARDED_BY(mu_){0};  // workers wake once
   bool open_ HARP_GUARDED_BY(mu_){false};  // batch still accepts joiners
   std::size_t busy_ HARP_GUARDED_BY(mu_){0};  // workers inside the batch

@@ -1,13 +1,11 @@
-// Subtree-interface memoization and parallel composition (PR "scale-out
-// hierarchy recomputation").
+// Subtree-interface memoization.
 //
-// The memo and the worker pool are pure accelerators: for ANY combination
-// of {memo on/off} x {jobs} the engine must produce bit-identical
-// resource state. These tests drive randomized churn (demand changes,
-// joins, leaves, roams, recompactions) through engines differing only in
-// those options and compare state fingerprints after every operation, plus
-// unit-level checks of the memo's work counts, the scratch-reusing packers
-// and the audit oracle.
+// The memo is a pure accelerator: with it on or off the engine must
+// produce bit-identical resource state. These tests drive randomized
+// churn (demand changes, joins, leaves, roams, recompactions) through
+// engines differing only in that option and compare state fingerprints
+// after every operation, plus unit-level checks of the memo's work
+// counts, the scratch-reusing packers and the audit oracle.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,7 +20,6 @@
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
 #include "packing/skyline.hpp"
-#include "runner/pool.hpp"
 
 namespace harp::core {
 namespace {
@@ -96,7 +93,7 @@ TEST(MemoizedGeneration, MatchesScratchAndHitsOnRepeat) {
       const InterfaceSet scratch =
           generate_interfaces(topo, traffic, dir, 16, 1);
       const InterfaceSet memoized =
-          generate_interfaces(topo, traffic, dir, 16, 1, &memo, nullptr);
+          generate_interfaces(topo, traffic, dir, 16, 1, &memo);
       EXPECT_TRUE(scratch == memoized);
     }
   };
@@ -139,7 +136,7 @@ TEST(MemoizedGeneration, SlimModeMatchesScratchWithoutCacheTraffic) {
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
     const InterfaceSet scratch = generate_interfaces(topo, traffic, dir, 16, 1);
     const InterfaceSet memoized =
-        generate_interfaces(topo, traffic, dir, 16, 1, &memo, nullptr);
+        generate_interfaces(topo, traffic, dir, 16, 1, &memo);
     EXPECT_TRUE(scratch == memoized);
   }
   const ComposeMemo::Stats first = memo.take_stats_delta();
@@ -151,7 +148,7 @@ TEST(MemoizedGeneration, SlimModeMatchesScratchWithoutCacheTraffic) {
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
     const InterfaceSet scratch = generate_interfaces(topo, traffic, dir, 16, 1);
     const InterfaceSet memoized =
-        generate_interfaces(topo, traffic, dir, 16, 1, &memo, nullptr);
+        generate_interfaces(topo, traffic, dir, 16, 1, &memo);
     EXPECT_TRUE(scratch == memoized);
   }
   const ComposeMemo::Stats second = memo.take_stats_delta();
@@ -166,7 +163,7 @@ TEST(MemoizedGeneration, SlimModeMatchesScratchWithoutCacheTraffic) {
   const InterfaceSet scratch =
       generate_interfaces(topo, traffic, Direction::kUp, 16, 1);
   const InterfaceSet memoized =
-      generate_interfaces(topo, traffic, Direction::kUp, 16, 1, &memo, nullptr);
+      generate_interfaces(topo, traffic, Direction::kUp, 16, 1, &memo);
   EXPECT_TRUE(scratch == memoized);
   const ComposeMemo::Stats third = memo.take_stats_delta();
   EXPECT_EQ(third.misses, third.invalidations);
@@ -185,7 +182,7 @@ TEST(MemoizedGeneration, StatsDeltaIsPerPassAndSumsToTotals) {
   ComposeMemo memo(topo.size());
   auto pass = [&] {
     for (Direction dir : {Direction::kUp, Direction::kDown}) {
-      generate_interfaces(topo, traffic, dir, 16, 0, &memo, nullptr);
+      generate_interfaces(topo, traffic, dir, 16, 0, &memo);
     }
   };
 
@@ -243,7 +240,7 @@ TEST(MemoizedGeneration, OneChainInvalidationRederivesExactlyThatChain) {
 
   ComposeMemo memo(topo.size());
   for (Direction dir : {Direction::kUp, Direction::kDown}) {
-    generate_interfaces(topo, traffic, dir, 16, 1, &memo, nullptr);
+    generate_interfaces(topo, traffic, dir, 16, 1, &memo);
   }
   memo.take_stats_delta();
 
@@ -262,34 +259,13 @@ TEST(MemoizedGeneration, OneChainInvalidationRederivesExactlyThatChain) {
                      traffic.demand(leaf, Direction::kUp) + 1);
   memo.invalidate_chain(topo, Direction::kUp, topo.parent(leaf));
   const InterfaceSet memoized =
-      generate_interfaces(topo, traffic, Direction::kUp, 16, 1, &memo,
-                          nullptr);
+      generate_interfaces(topo, traffic, Direction::kUp, 16, 1, &memo);
   const ComposeMemo::Stats d = memo.take_stats_delta();
   EXPECT_EQ(d.invalidations, chain);
   EXPECT_EQ(d.misses, chain);
   EXPECT_EQ(d.hits, internal - chain);
   EXPECT_TRUE(memoized ==
               generate_interfaces(topo, traffic, Direction::kUp, 16, 1));
-}
-
-TEST(MemoizedGeneration, ParallelMatchesSerialForAnyJobs) {
-  Rng rng(47);
-  const auto topo = net::random_tree(
-      {.num_nodes = 120, .num_layers = 7, .max_children = 5}, rng);
-  const auto traffic = random_traffic(topo, rng);
-  for (Direction dir : {Direction::kUp, Direction::kDown}) {
-    const InterfaceSet serial = generate_interfaces(topo, traffic, dir, 16, 1);
-    for (std::size_t jobs : {2u, 4u, 7u}) {
-      runner::WorkerPool pool(jobs);
-      const InterfaceSet parallel =
-          generate_interfaces(topo, traffic, dir, 16, 1, nullptr, &pool);
-      EXPECT_TRUE(serial == parallel) << "jobs " << jobs;
-      ComposeMemo memo(topo.size());
-      const InterfaceSet both =
-          generate_interfaces(topo, traffic, dir, 16, 1, &memo, &pool);
-      EXPECT_TRUE(serial == both) << "memo + jobs " << jobs;
-    }
-  }
 }
 
 TEST(ComposeCacheAudit, OracleAcceptsSoundAndFlagsTamperedInterfaces) {
@@ -384,21 +360,12 @@ TEST(ComposeCacheChurn, CacheOnOffAndParallelFingerprintsStayIdentical) {
       {.num_nodes = 60, .num_layers = 5, .max_children = 4}, topo_rng);
   const auto tasks = net::uniform_echo_tasks(topo, test_frame().length);
 
-  // Engines differing only in accelerator options. Note jobs > 1 exercises
-  // the parallel packing path under churn, including every recompact.
+  // Engines differing only in the memo, through every recompact.
   std::vector<std::unique_ptr<HarpEngine>> engines;
   engines.push_back(std::make_unique<HarpEngine>(
-      topo, tasks, test_frame(),
-      EngineOptions{.compose_cache = false, .jobs = 1}));
+      topo, tasks, test_frame(), EngineOptions{.compose_cache = false}));
   engines.push_back(std::make_unique<HarpEngine>(
-      topo, tasks, test_frame(),
-      EngineOptions{.compose_cache = true, .jobs = 1}));
-  engines.push_back(std::make_unique<HarpEngine>(
-      topo, tasks, test_frame(),
-      EngineOptions{.compose_cache = true, .jobs = 4}));
-  engines.push_back(std::make_unique<HarpEngine>(
-      topo, tasks, test_frame(),
-      EngineOptions{.compose_cache = false, .jobs = 3}));
+      topo, tasks, test_frame(), EngineOptions{.compose_cache = true}));
 
   Rng rng(17);
   for (int step = 0; step < 120; ++step) {
@@ -423,23 +390,6 @@ TEST(ComposeCacheChurn, CacheOnOffAndParallelFingerprintsStayIdentical) {
   // The memo actually worked: repeated recompactions must have hit.
   EXPECT_GT(engines[1]->compose_cache_stats().hits, 0u);
   EXPECT_EQ(engines[0]->compose_cache_stats().hits, 0u);
-}
-
-TEST(ComposeCacheChurn, SharedExternalPoolAcrossEngines) {
-  runner::WorkerPool pool(3);
-  const auto topo = net::testbed_tree();
-  const auto tasks = net::uniform_echo_tasks(topo, 199);
-  EngineOptions opts;
-  opts.pool = &pool;
-  HarpEngine a(topo, tasks, net::SlotframeConfig{}, opts);
-  HarpEngine serial(topo, tasks, net::SlotframeConfig{});
-  EXPECT_EQ(a.state_fingerprint(), serial.state_fingerprint());
-  a.request_demand(9, Direction::kUp, 4);
-  serial.request_demand(9, Direction::kUp, 4);
-  a.recompact();
-  serial.recompact();
-  EXPECT_EQ(a.state_fingerprint(), serial.state_fingerprint());
-  EXPECT_EQ(a.validate(), "");
 }
 
 }  // namespace

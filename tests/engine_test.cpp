@@ -123,7 +123,9 @@ TEST(Adjustment, RejectsEmptyComponent) {
   EXPECT_THROW(adjust_partition_layout({6, 2}, {}, 1, {}), InvalidArgument);
 }
 
-// The shared Alg. 2 hop: one hand-built layout per outcome.
+// The shared Alg. 2 hop: one hand-built case per outcome (absorbed,
+// grown anchored, recomposed) and for the fall-through from adjust_hop to
+// recompose_hop.
 TEST(Adjustment, HopReachesEachOfItsFourOutcomes) {
   using packing::Placement;
   // Box 10x1 holding siblings 1 = [0,4) and 2 = [4,6).
@@ -151,22 +153,12 @@ TEST(Adjustment, HopReachesEachOfItsFourOutcomes) {
   EXPECT_FALSE(adjust_hop({}, layout, 2, {4, 1}, GrowSide::kRight, 16));
   EXPECT_FALSE(adjust_hop({6, 1}, layout, 2, {4, 3}, GrowSide::kRight, 2));
 
+  // 3. Recomposed: the fresh composition [4,2] escalates.
   const std::vector<ChildComponent> children{{1, {4, 1}}, {2, {4, 1}}};
-  // 3. The fresh composition [4,2] fits a 10x2 box: absorbed, and the box
-  // keeps its component, so nothing escalates.
-  HopStep fits = recompose_hop({10, 2}, children, 16);
-  EXPECT_TRUE(fits.absorbed);
-  EXPECT_EQ(fits.comp, (ResourceComponent{10, 2}));
-  EXPECT_EQ(fits.layout.size(), 2u);
-  // 4. It fits neither a 3x3 box nor an absent one: the composite
-  // escalates.
-  for (const ResourceComponent box : {ResourceComponent{3, 3},
-                                      ResourceComponent{}}) {
-    const HopStep escalated = recompose_hop(box, children, 16);
-    EXPECT_FALSE(escalated.absorbed);
-    EXPECT_EQ(escalated.comp, (ResourceComponent{4, 2}));
-    EXPECT_EQ(escalated.layout, fits.layout);
-  }
+  const HopStep escalated = recompose_hop(children, 16);
+  EXPECT_FALSE(escalated.absorbed);
+  EXPECT_EQ(escalated.comp, (ResourceComponent{4, 2}));
+  EXPECT_EQ(escalated.layout.size(), 2u);
 }
 
 TEST(Adjustment, PreservesAllSiblings) {

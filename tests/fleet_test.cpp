@@ -288,6 +288,44 @@ TEST(FleetOps, UnknownAndDestroyedIdsAreRejected) {
   EXPECT_FALSE(fleet.submit(a.id, op));
 }
 
+// One bad op of each kind that takes an argument (recompact takes none):
+// each is counted once in harp.fleet.op_failures and leaves the tenant's
+// digest as it was.
+TEST(FleetOps, BadArgumentsFailWithoutChangingTheTenant) {
+  Fleet fleet(Fleet::Options{});
+  TenantSpec spec = feasible_spec(0);
+  const net::Topology topo = spec.topo;
+  const Admission a = fleet.create_tenant(std::move(spec));
+  ASSERT_TRUE(a.admitted);
+  NodeId relay = 1;
+  while (topo.is_leaf(relay)) ++relay;
+  NodeId leaf = 1;
+  while (!topo.is_leaf(leaf)) ++leaf;
+  const NodeId unknown = static_cast<NodeId>(topo.size() + 5);
+
+  const auto failures = [&] {
+    return fleet.merged_metrics().counter("harp.fleet.op_failures").value();
+  };
+  const std::uint64_t fingerprint = fleet.fleet_fingerprint();
+  const std::uint64_t failed_before = failures();
+  const Op bad_ops[] = {
+      {.type = OpType::kDemand, .node = unknown, .cells = 1},
+      {.type = OpType::kDemand, .node = leaf, .cells = -1},
+      {.type = OpType::kAttach, .parent = unknown, .cells = 1,
+       .down_cells = 1},
+      {.type = OpType::kDetach, .node = relay},
+      {.type = OpType::kReparent, .node = leaf, .parent = unknown},
+      {.type = OpType::kReparent, .node = leaf, .parent = leaf},
+  };
+  std::uint64_t want_failed = failed_before;
+  for (const Op& op : bad_ops) {
+    const int kind = static_cast<int>(op.type);
+    ASSERT_TRUE(fleet.submit(a.id, op)) << "op kind " << kind;
+    EXPECT_EQ(failures(), ++want_failed) << "op kind " << kind;
+    EXPECT_EQ(fleet.fleet_fingerprint(), fingerprint) << "op kind " << kind;
+  }
+}
+
 // ------------------------------------------------------------ placement
 
 TEST(FleetPlacement, HashPlacementIsReproducible) {

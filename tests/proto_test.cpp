@@ -539,6 +539,32 @@ TEST_F(HostileMessages, PostIntfFromNonChildIsDropped) {
                          IntfPayload{{item()}}});
 }
 
+TEST_F(HostileMessages, PostIntfFromLeafChildIsDropped) {
+  // A relay with a leaf child that still awaits a relay child's report.
+  const net::Topology& topo = n.topo;
+  NodeId relay = kNoNode;
+  NodeId leaf = kNoNode;
+  for (NodeId w = 1; w < topo.size() && relay == kNoNode; ++w) {
+    const auto kids = topo.children(w);
+    const auto is_leaf = [&](NodeId c) { return topo.is_leaf(c); };
+    const auto l = std::find_if(kids.begin(), kids.end(), is_leaf);
+    if (l == kids.end() || std::all_of(kids.begin(), kids.end(), is_leaf)) {
+      continue;
+    }
+    relay = w;
+    leaf = *l;
+  }
+  ASSERT_NE(relay, kNoNode);
+  LoopbackAgents fresh(n.topo, n.traffic, frame(), n.tasks);
+  Recorder t;
+  fresh.agent(relay).start(t);
+  ASSERT_TRUE(t.sent.empty());
+  const IntfItem report{static_cast<std::uint8_t>(topo.link_layer(relay) + 1),
+                        Direction::kUp, 3, 1};
+  expect_dropped(fresh, {MsgType::kPostIntf, leaf, relay,
+                         IntfPayload{{report}}});
+}
+
 TEST_F(HostileMessages, PostIntfWhenNoneIsAwaitedIsDropped) {
   expect_dropped(network, {MsgType::kPostIntf, child, v,
                            IntfPayload{{item()}}});

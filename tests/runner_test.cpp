@@ -186,7 +186,7 @@ TEST(WorkerPool, BackToBackTinyBatchesWithLateWakers) {
           hits[i].fetch_add(1);
           busy_work(200);
         };
-    pool.run_blocked(count, 1 + static_cast<std::size_t>(batch % 2), fn);
+    pool.run_indexed(count, fn);
     busy_work(1000);
     ASSERT_FALSE(bad_slot.load()) << "batch " << batch;
     for (std::size_t i = 0; i < count; ++i) {

@@ -173,6 +173,25 @@ TEST(EngineTopology, ReparentRefusesRelaysAndCycles) {
   EXPECT_THROW(engine.reparent_leaf(0, 1), InvalidArgument);
 }
 
+// A roam to an unknown parent or under the leaf itself is refused before
+// the leaf's demand is released or its rows are scrubbed.
+TEST(EngineTopology, RejectedReparentLeavesStateUnchanged) {
+  auto engine = engine_for(net::testbed_tree());
+  const NodeId leaf = 27;
+  ASSERT_TRUE(engine.topology().is_leaf(leaf));
+  const NodeId parent = engine.topology().parent(leaf);
+  const std::uint64_t fingerprint = engine.state_fingerprint();
+  const int up = engine.traffic().uplink(leaf);
+  ASSERT_GT(up, 0);
+  for (NodeId bad : {static_cast<NodeId>(engine.topology().size()), leaf}) {
+    EXPECT_THROW(engine.reparent_leaf(leaf, bad), InvalidArgument) << bad;
+    EXPECT_EQ(engine.state_fingerprint(), fingerprint) << bad;
+    EXPECT_EQ(engine.traffic().uplink(leaf), up) << bad;
+    EXPECT_EQ(engine.topology().parent(leaf), parent) << bad;
+  }
+  EXPECT_EQ(engine.validate(), "");
+}
+
 TEST(EngineTopology, FailedReparentFallsBackToOldRelay) {
   // Gateway <- relay(1) <- chain(2..5); a fat leaf under the gateway's
   // short branch cannot be re-homed at the end of the chain: the chain
