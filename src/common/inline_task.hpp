@@ -24,11 +24,9 @@
 //     std::bad_function_call.
 //
 // Thread-safety: an InlineFunction confers none — it is plain value
-// state, owned and invoked by exactly one thread at a time. Containers
-// that move these across threads (rt::Dispatcher's cross-thread inbox,
-// fleet shard queues) guard the container with a ranked harp::Mutex and
-// annotate the field HARP_GUARDED_BY (common/thread_annotations.hpp);
-// the handoff's happens-before edge is the container's, not the task's.
+// state, owned and invoked by exactly one thread at a time. The
+// dispatcher that stores them is single-threaded (docs/RUNTIME.md
+// "Threading model"), so no task ever crosses threads.
 #pragma once
 
 #include <cstddef>
@@ -146,9 +144,9 @@ class InlineFunction<R(Args...)> {
 };
 
 /// The rt event core's task currency: what the dispatcher ready queue,
-/// the cross-thread inbox, timer-wheel nodes and channel delivery all
-/// store. Steady-state dispatch moves these by memcpy-sized relocations
-/// and never touches the heap.
+/// timer-wheel nodes and channel delivery all store. Steady-state
+/// dispatch moves these by memcpy-sized relocations and never touches
+/// the heap.
 using InlineTask = InlineFunction<void()>;
 
 }  // namespace harp

@@ -14,8 +14,8 @@
 //
 // Growth moves elements into a doubled buffer, so T must be movable;
 // element order is preserved. Not thread-safe — single-owner, like the
-// dispatcher loop it serves (cross-thread producers go through the
-// mutex-guarded inbox, never this ring).
+// dispatcher loop it serves (the fleet's shard queue, its one
+// cross-thread use, is guarded by the shard's mutex).
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,8 @@ std::atomic<LockOrderReporter> g_reporter{nullptr};
 
 #if HARP_LOCK_RANK_ENABLED
 
-/// Realistic nesting is shallow (a coarser lock held while posting to the
-/// rt inbox); 16 leaves room without making the thread_local footprint
-/// interesting.
+/// Nesting is shallow (the rank table has two ranks); 16 leaves room
+/// without making the thread_local footprint interesting.
 constexpr int kMaxHeldLocks = 16;
 
 struct HeldStack {

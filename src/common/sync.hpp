@@ -5,10 +5,10 @@
 //   * Clang Thread Safety Analysis capability annotations
 //     (common/thread_annotations.hpp), so `-Wthread-safety` proves at
 //     compile time that guarded state is only touched under its lock, and
-//   * a documented *lock rank*. Checked builds (HARP_LOCK_RANK, default
-//     ON except Release — same policy as HARP_AUDIT) keep a per-thread
-//     stack of held ranks; acquiring a mutex whose rank is not strictly
-//     greater than every rank already held is a lock-order violation:
+//   * a documented *lock rank*. Checked builds (HARP_AUDIT, default ON
+//     except Release) keep a per-thread stack of held ranks; acquiring
+//     a mutex whose rank is not strictly greater than every rank
+//     already held is a lock-order violation:
 //     one `lock_order_fail` trace event (docs/OBSERVABILITY.md), an
 //     error log, then the HARP_ASSERT failure path (throw, or abort
 //     under HARP_ASSERT_ABORT). Ranks impose a global acquisition order,
@@ -37,18 +37,12 @@ namespace harp {
 
 /// The global lock hierarchy, outermost first: on one thread, ranks of
 /// held locks must be strictly increasing in acquisition order. Gaps
-/// leave room for future layers (the async-runtime roadmap item).
+/// leave room for future layers.
 /// Keep in sync with the lock-rank table in docs/STATIC_ANALYSIS.md.
 enum class LockRank : std::uint32_t {
   /// fleet::Fleet shard queues — outermost: held only around queue
   /// swaps/enqueues and progress waits, never while executing ops.
   kFleetShard = 100,
-  /// runner::WorkerPool batch state (dispatch/completion handshake).
-  kWorkerPool = 200,
-  /// rt::Dispatcher cross-thread inbox — held only around post/drain
-  /// queue swaps; producers may hold any of the ranks above while
-  /// posting, so it sits below only the obs intern leaf.
-  kRtDispatcher = 350,
   /// obs intern tables — leaf: interning may be reached from any
   /// subsystem's first instrument resolution.
   kObsIntern = 400,

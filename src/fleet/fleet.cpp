@@ -140,15 +140,13 @@ Fleet::~Fleet() {
   for (auto& shard : shards_) shard->thread.join();
 }
 
-std::size_t Fleet::place(TenantId id, const TenantSpec& spec) const {
+std::size_t Fleet::place(TenantId id) const {
   if (placement_ == PlacementPolicy::kHash) {
     return fnv1a_value(kFnvOffset, id) % shards_.size();
   }
-  // Least loaded by admitted nodes, ties to the lowest index. `spec`
-  // intentionally unused here: the load a tenant ADDS must not influence
-  // where it lands, or two same-size tenants could swap shards between
-  // runs. (Kept as a parameter so future policies can use it.)
-  (void)spec;
+  // Least loaded by admitted nodes, ties to the lowest index. The load a
+  // tenant ADDS must not influence where it lands, or two same-size
+  // tenants could swap shards between runs.
   std::size_t best = 0;
   for (std::size_t i = 1; i < shard_nodes_.size(); ++i) {
     if (shard_nodes_[i] < shard_nodes_[best]) best = i;
@@ -169,7 +167,7 @@ Admission Fleet::create_tenant(TenantSpec spec) {
       result.reason = "spectrum_budget";
     } else {
       result.admitted = true;
-      result.shard = place(result.id, spec);
+      result.shard = place(result.id);
 
       TenantInfo info;
       info.shard = result.shard;

@@ -22,16 +22,25 @@
 //   - All public methods are control-plane calls: one caller thread at a
 //     time (they are not internally serialized against each other).
 //   - Each engine lives and dies on its shard's thread; no engine is ever
-//     touched by two threads, the control thread included (per-shard
-//     thread_local compose scratch and interface pools are therefore
-//     reused across all tenants of a shard — the amortization that makes
-//     10k small engines cheap). fleet_fingerprint() is a shard task too:
+//     touched by two threads, the control thread included (the
+//     thread_local generation and compose scratch are therefore reused
+//     across all tenants of a shard — the amortization that makes 10k
+//     small engines cheap). fleet_fingerprint() is a shard task too:
 //     each shard digests its own engines into a fleet-owned vector, and
 //     the control thread folds only those integers.
 //   - quiesce() blocks until every enqueued task has executed, and
 //     establishes the happens-before edge that makes reading shard
 //     results (the fingerprint vector, merged_metrics, stats) safe from
-//     the control thread until the next create/submit/destroy.
+//     the control thread until the next create/submit/destroy. Reading
+//     `executed == enqueued` under each shard's mutex is the whole
+//     protocol, and it is enough: there is one control thread, so
+//     nothing is enqueued while it waits, and a shard adds a batch to
+//     `executed` (under the same mutex) only after the batch's last
+//     task has run and been destroyed; from then until it takes the
+//     next batch it touches no engine, obs context or digest slot. So
+//     the equality, read under the lock, orders every shard write before
+//     the control thread's reads, and no shard can write again before
+//     the control thread enqueues more work.
 //   - Mechanically: each shard owns one harp::Mutex (rank kFleetShard)
 //     guarding only its queue and progress counters; the guarded fields
 //     carry thread-safety annotations checked by Clang
@@ -212,7 +221,7 @@ class Fleet {
     std::uint64_t spectrum{0};
   };
 
-  std::size_t place(TenantId id, const TenantSpec& spec) const;
+  std::size_t place(TenantId id) const;
   static void shard_main(Shard& shard, std::size_t tenant_node_quota);
 
   std::vector<std::unique_ptr<Shard>> shards_;

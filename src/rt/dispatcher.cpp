@@ -42,25 +42,6 @@ obs::Counter& timers_cancelled_counter() {
 
 void Dispatcher::post(Task fn) { ready_.push_back(std::move(fn)); }
 
-void Dispatcher::post_external(Task fn) {
-  MutexLock lock(inbox_mu_);
-  inbox_.push_back(std::move(fn));
-  inbox_pending_.store(true, std::memory_order_release);
-}
-
-void Dispatcher::drain_inbox() {
-  // The pending flag keeps the common no-producer case to one atomic
-  // load per step — no mutex round-trip. When it is set, moving
-  // straight into the ready ring (instead of swapping into a scratch
-  // vector) keeps the inbox's grown capacity. Only the inbox needs the
-  // lock; ready_ is dispatch-thread-only.
-  if (!inbox_pending_.load(std::memory_order_acquire)) return;
-  MutexLock lock(inbox_mu_);
-  for (Task& t : inbox_) ready_.push_back(std::move(t));
-  inbox_.clear();
-  inbox_pending_.store(false, std::memory_order_relaxed);
-}
-
 TimerId Dispatcher::schedule_at(Tick deadline, Task fn) {
   timers_scheduled_counter().inc();
   if (deadline < now_) deadline = now_;
@@ -77,8 +58,7 @@ bool Dispatcher::cancel(TimerId id) {
   return live;
 }
 
-bool Dispatcher::idle() {
-  drain_inbox();
+bool Dispatcher::idle() const {
   return ready_.empty() && timers_.empty();
 }
 
@@ -91,7 +71,6 @@ void Dispatcher::note_event([[maybe_unused]] EventKind kind) {
 }
 
 std::size_t Dispatcher::step() {
-  drain_inbox();
   if (!ready_.empty()) {
     // Move the task out first: it may post/schedule, mutating the ring.
     Task fn = ready_.pop_front();
@@ -125,7 +104,6 @@ std::size_t Dispatcher::run_until_idle(std::size_t max_events) {
 std::size_t Dispatcher::run_until(Tick t, std::size_t max_events) {
   std::size_t ran = 0;
   for (;;) {
-    drain_inbox();
     if (ready_.empty() && timers_.next_deadline() > t) break;
     if (ran >= max_events) {
       fail("rt::Dispatcher livelock: " + std::to_string(ran) +

@@ -5,10 +5,9 @@
 //
 // One dispatcher == one single-threaded event domain. All agent and
 // transport callbacks for a runtime instance execute on the thread that
-// drives step()/run_until_idle(); no locking is needed inside them. The
-// one concession to the outside world is post_external(), a cross-thread
-// inbox guarded by a kRtDispatcher-ranked mutex; everything else is
-// plain single-threaded state.
+// drives step()/run_until_idle(); no locking is needed inside them, and
+// the dispatcher itself is plain single-threaded state with no
+// cross-thread entry point.
 //
 // Determinism rules (test-asserted, see docs/RUNTIME.md):
 //   * ready tasks run in strict FIFO post order;
@@ -20,16 +19,12 @@
 //     construction, via Rng::fork().
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/inline_task.hpp"
 #include "common/ring.hpp"
 #include "common/rng.hpp"
-#include "common/sync.hpp"
-#include "common/thread_annotations.hpp"
 #include "rt/timer_wheel.hpp"
 
 namespace harp::rt {
@@ -64,14 +59,8 @@ class Dispatcher {
   Rng& rng() { return rng_; }
 
   /// Enqueues a task behind all previously posted ready tasks
-  /// (same-thread only; use post_external from other threads).
+  /// (dispatch thread only).
   void post(Task fn);
-
-  /// Thread-safe post: enqueues into the cross-thread inbox, drained
-  /// into the ready queue at the next step() on the dispatch thread.
-  /// Arrival order across producer threads is whatever the mutex
-  /// serializes — deterministic only with a single producer.
-  void post_external(Task fn);
 
   /// Arms a one-shot timer at absolute virtual time `deadline` (clamped
   /// to now() if in the past — it fires on the current tick).
@@ -81,9 +70,9 @@ class Dispatcher {
   /// Disarms a timer; false when it already fired or was cancelled.
   bool cancel(TimerId id);
 
-  /// True when there is nothing to run: no ready task, an empty inbox,
-  /// and no armed timer.
-  bool idle();
+  /// True when there is nothing to run: no ready task and no armed
+  /// timer.
+  bool idle() const;
 
   /// Executes exactly one event — the oldest ready task if any, else
   /// the earliest due timer after advancing the clock to its deadline.
@@ -102,8 +91,6 @@ class Dispatcher {
   std::uint64_t dispatched() const { return dispatched_; }
 
  private:
-  /// Moves inbox tasks into the ready queue (in arrival order).
-  void drain_inbox();
   void note_event(EventKind kind);
 
   Tick now_{0};
@@ -111,15 +98,6 @@ class Dispatcher {
   RingQueue<Task> ready_;
   TimerWheel timers_;
   std::uint64_t dispatched_{0};
-
-  Mutex inbox_mu_{LockRank::kRtDispatcher, "rt.Dispatcher.inbox"};
-  std::vector<Task> inbox_ HARP_GUARDED_BY(inbox_mu_);
-  /// Hint that the inbox may hold tasks, so the per-step drain_inbox()
-  /// is one atomic load instead of a mutex round-trip when no producer
-  /// is active (the overwhelmingly common case). Purely an
-  /// optimization: a post that races past the load is picked up at the
-  /// next step, exactly as if it had lost the lock race before.
-  std::atomic<bool> inbox_pending_{false};
 };
 
 }  // namespace harp::rt

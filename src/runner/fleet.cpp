@@ -1,10 +1,14 @@
 #include "runner/fleet.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <sstream>
+#include <vector>
 
+#include "common/sync.hpp"
 #include "runner/aggregate.hpp"
-#include "runner/pool.hpp"
 
 namespace harp::runner {
 namespace {
@@ -52,7 +56,7 @@ FleetResult run_fleet(const TrialPlan& plan, const FleetOptions& opts,
                       const TrialFn& fn) {
   const std::vector<TrialSpec>& trials = plan.trials();
   FleetResult res;
-  res.jobs = opts.jobs == 0 ? WorkerPool::default_jobs() : opts.jobs;
+  res.jobs = opts.jobs == 0 ? hardware_threads() : opts.jobs;
   res.trial_results.resize(trials.size());
   res.contexts.resize(trials.size());
 
@@ -70,12 +74,45 @@ FleetResult run_fleet(const TrialPlan& plan, const FleetOptions& opts,
 
   const auto start = std::chrono::steady_clock::now();
   if (res.jobs == 1) {
-    // Inline on the caller thread: no pool, and the trial context nests
-    // inside whatever context the caller has installed.
+    // Inline on the caller thread: no threads, and the trial context
+    // nests inside whatever context the caller has installed.
     for (std::size_t i = 0; i < trials.size(); ++i) run_one(i);
   } else {
-    WorkerPool pool(res.jobs);
-    pool.run(trials.size(), run_one);
+    // min(jobs, trials) threads claim trial indices with a fetch-add
+    // until the plan drains or a trial throws. The thread that wins
+    // `failed` stores the error; the joins below order that store, and
+    // every trial's writes, before the caller reads them.
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;
+    const auto work = [&] {
+      while (!failed.load(std::memory_order_relaxed)) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= trials.size()) return;
+        try {
+          run_one(i);
+        } catch (...) {
+          if (!failed.exchange(true)) error = std::current_exception();
+        }
+      }
+    };
+    const std::size_t count = std::min(res.jobs, trials.size());
+    std::vector<Thread> threads;
+    const auto join_all = [&threads] {
+      for (Thread& t : threads) t.join();
+    };
+    try {
+      threads.reserve(count);
+      while (threads.size() < count) threads.emplace_back(work);
+    } catch (...) {
+      // A thread that failed to start leaves the others claiming: join
+      // them before the frame (and everything they reference) unwinds.
+      failed.store(true);
+      join_all();
+      throw;
+    }
+    join_all();
+    if (error) std::rethrow_exception(error);
   }
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -1,5 +1,6 @@
-// Fleet execution: a TrialPlan run across a WorkerPool with per-trial
-// observability isolation and deterministic, order-independent output.
+// Fleet execution: a TrialPlan run across `jobs` trial threads with
+// per-trial observability isolation and deterministic, order-independent
+// output.
 //
 // Each trial executes under its own obs::Context (fresh metrics registry +
 // trace sink, installed thread-locally for the duration of the trial), so
@@ -25,14 +26,14 @@
 
 namespace harp::runner {
 
-/// Produces one trial's result document. Runs on a worker thread with the
+/// Produces one trial's result document. Runs on a trial thread with the
 /// trial's private obs::Context installed; everything it touches must be
 /// trial-local (no shared mutable state — the seed in `spec` is the only
 /// sanctioned source of variation).
 using TrialFn = std::function<obs::Json(const TrialSpec& spec)>;
 
 struct FleetOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Trial threads; 0 = hardware concurrency, 1 = inline on the caller.
   std::size_t jobs = 1;
   /// Enable per-trial trace sinks (shard-merged by write_trace_jsonl).
   bool trace = false;
@@ -65,9 +66,9 @@ struct FleetResult {
   void write_trace_jsonl(std::ostream& out) const;
 };
 
-/// Runs every trial of `plan` through `fn` across `opts.jobs` workers.
-/// Blocks until the fleet finishes; rethrows the first trial exception
-/// (remaining trials are abandoned).
+/// Runs every trial of `plan` through `fn` across `opts.jobs` threads.
+/// Blocks until every thread has joined; rethrows the first trial
+/// exception (unclaimed trials are abandoned).
 FleetResult run_fleet(const TrialPlan& plan, const FleetOptions& opts,
                       const TrialFn& fn);
 

@@ -1,14 +1,18 @@
 // Tests for the multi-tenant fleet control plane (src/fleet) and for the
 // one concurrency shape it is built on: many DISTINCT engines mutating at
-// once — on fleet shards and on a shared runner::WorkerPool — while no
-// single engine is ever touched by two threads. CI runs this binary
+// once — on fleet shards and on runner::run_fleet trial threads — while
+// no single engine is ever touched by two threads. CI runs this binary
 // under TSan (.github/workflows/ci.yml), which checks the whole
-// engine-affinity + per-slot-context contract; the fingerprint assertions
-// here pin the determinism half: outcomes must be invariant to shard
-// count, placement policy and worker interleaving (docs/FLEET.md).
+// engine-affinity + per-thread-context contract; the fingerprint
+// assertions here pin the determinism half: outcomes must be invariant
+// to shard count, placement policy and thread interleaving
+// (docs/FLEET.md).
+#include <atomic>
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,12 +20,14 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/sync.hpp"
 #include "fleet/fleet.hpp"
 #include "harp/engine.hpp"
 #include "net/topology_gen.hpp"
 #include "net/traffic.hpp"
-#include "obs/context.hpp"
-#include "runner/pool.hpp"
+#include "obs/json.hpp"
+#include "runner/fleet.hpp"
+#include "runner/plan.hpp"
 
 namespace harp::fleet {
 namespace {
@@ -463,12 +469,94 @@ TEST(FleetMetrics, MergedCountersMatchControlPlaneStats) {
   EXPECT_GT(m.counter("harp.fleet.op_batches").value(), 0u);
 }
 
-// ---------------------------------------- shared WorkerPool concurrency
+// -------------------------------------------------------------- quiesce
 
-// The TSan centerpiece: many DISTINCT engines mutated concurrently on one
-// shared runner::WorkerPool, each invocation running under a per-slot
-// obs::Context (the pool's slot contract: one invocation per slot at a
-// time). Any engine-internal state that is secretly shared across engine
+// Oversubscribed quiesce: more shards than hardware threads, with
+// spinner threads keeping every CPU busy so that woken shards get
+// preempted and most reach their lock only after the control thread is
+// already waiting. Hundreds of tiny submit -> quiesce -> fingerprint
+// cycles; a quiesce() that returned before a shard retired its batch
+// would show as a short `ops_executed` or as a fingerprint that differs
+// from the 1-shard replay of the same script.
+TEST(FleetQuiesce, OversubscribedTinyCyclesMatchOneShardReplay) {
+  constexpr int kCycles = 300;
+  const std::size_t hw = hardware_threads();
+  const std::size_t shards = 2 * hw + 3;
+
+  // 1-3 demand ops per cycle, each on a tenant the cycle's stream picks.
+  const auto cycle_ops = [](int cycle, std::size_t tenants) {
+    Rng rng(derive_seed(kSeed + 2, static_cast<std::uint64_t>(cycle)));
+    std::vector<std::pair<std::size_t, Op>> ops;
+    const int count = 1 + cycle % 3;
+    for (int k = 0; k < count; ++k) {
+      Op op;
+      op.type = OpType::kDemand;
+      op.node = 1 + static_cast<NodeId>(rng.below(kNodes - 1));
+      op.dir = rng.chance(0.5) ? Direction::kUp : Direction::kDown;
+      op.cells = 1 + static_cast<int>(rng.below(2));
+      ops.emplace_back(static_cast<std::size_t>(rng.below(tenants)), op);
+    }
+    return ops;
+  };
+  // Runs the script on a fleet of `num_shards` shards, appending the
+  // fingerprint after every cycle to `fps`; with `want` non-empty, each
+  // one must match as it is taken.
+  const auto run_script = [&](std::size_t num_shards,
+                              const std::vector<std::uint64_t>& want,
+                              std::vector<std::uint64_t>& fps) {
+    Fleet fleet(Fleet::Options{.num_shards = num_shards});
+    std::vector<TenantId> ids;
+    for (std::size_t t = 0; t < shards; ++t) {
+      const Admission a = fleet.create_tenant(feasible_spec(t % 3));
+      ASSERT_TRUE(a.admitted);
+      ids.push_back(a.id);
+    }
+    std::uint64_t submitted = 0;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      for (const auto& [tenant, op] : cycle_ops(cycle, ids.size())) {
+        ASSERT_TRUE(fleet.submit(ids[tenant], op));
+        ++submitted;
+      }
+      fleet.quiesce();
+      // Bootstraps plus every op submitted so far, nothing in flight.
+      ASSERT_EQ(fleet.stats().ops_executed, ids.size() + submitted)
+          << "cycle " << cycle;
+      fps.push_back(fleet.fleet_fingerprint());
+      if (!want.empty()) {
+        ASSERT_EQ(fps.back(), want[fps.size() - 1]) << "cycle " << cycle;
+      }
+    }
+  };
+
+  std::vector<std::uint64_t> want;
+  run_script(1, {}, want);
+  ASSERT_EQ(want.size(), static_cast<std::size_t>(kCycles));
+
+  // Stopped and joined on every exit path, ASSERT failures included.
+  struct Spinners {
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    ~Spinners() {
+      stop.store(true);
+      for (std::thread& t : threads) t.join();
+    }
+  } spinners;
+  for (std::size_t i = 0; i < hw; ++i) {
+    spinners.threads.emplace_back([&stop = spinners.stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  std::vector<std::uint64_t> got;
+  run_script(shards, want, got);
+  EXPECT_EQ(got.size(), want.size());
+}
+
+// -------------------------------------------- run_fleet trial threads
+
+// The TSan centerpiece: many DISTINCT engines mutated concurrently on
+// runner::run_fleet trial threads, each trial under its own obs::Context.
+// Any engine-internal state that is secretly shared across engine
 // instances — compose scratch, interface pools, counters — shows up here
 // as a TSan race; the fingerprint check pins that concurrent execution
 // produces bit-identical results to serial execution.
@@ -502,20 +590,21 @@ TEST(ConcurrentEngines, SharedPoolDistinctEnginesMatchSerial) {
     want.push_back(engine.state_fingerprint());
   }
 
-  // Concurrent run: engines built up front, then mutated in one batch
-  // across the pool.
+  // Concurrent run: engines built up front, then one trial per engine
+  // across four trial threads.
   std::vector<core::HarpEngine> engines;
   engines.reserve(kEngines);
   for (std::uint64_t i = 0; i < kEngines; ++i) {
     TenantSpec spec = feasible_spec(i % 3);
     engines.emplace_back(spec.topo, spec.tasks, spec.frame, spec.engine);
   }
-  runner::WorkerPool pool(4);
-  std::vector<obs::Context> contexts(pool.jobs());
-  pool.run_indexed(kEngines, [&](std::size_t slot, std::size_t i) {
-    obs::ScopedContext scoped(contexts[slot]);
-    mutate(engines[i], i);
-  });
+  runner::FleetOptions opts;
+  opts.jobs = 4;
+  runner::run_fleet(runner::TrialPlan::replications(kSeed, kEngines), opts,
+                    [&](const runner::TrialSpec& trial) {
+                      mutate(engines[trial.index], trial.index);
+                      return obs::Json::object();
+                    });
   for (std::size_t i = 0; i < kEngines; ++i) {
     EXPECT_EQ(engines[i].state_fingerprint(), want[i]) << "engine " << i;
   }

@@ -2,7 +2,7 @@
 // acquisition is silent; an inversion fires one `lock_order_fail` trace
 // event and fails through the HARP_ASSERT path (throw by default, abort
 // under HARP_ASSERT_ABORT). Compiled out entirely when the build
-// disables HARP_LOCK_RANK.
+// disables HARP_AUDIT, which gates the checker.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +25,9 @@ TEST(LockRank, NestedAcquisitionInRankOrderIsSilent) {
   sink.clear();
   {
     Mutex outer{LockRank::kFleetShard, "test.outer"};
-    Mutex mid{LockRank::kWorkerPool, "test.mid"};
     Mutex inner{LockRank::kObsIntern, "test.inner"};
     MutexLock a(outer);
-    MutexLock b(mid);
-    MutexLock c(inner);
+    MutexLock b(inner);
   }
   for (const obs::TraceEvent& e : sink.snapshot()) {
     EXPECT_NE(e.type, obs::EventType::kLockOrderFail);
@@ -41,23 +39,7 @@ TEST(LockRank, TableValuesArePinned) {
   // The rank table is API (docs/STATIC_ANALYSIS.md); renumbering breaks
   // the documented hierarchy, so every slot is pinned here.
   EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kFleetShard), 100u);
-  EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kWorkerPool), 200u);
-  // rt.Dispatcher.inbox: above kWorkerPool (any subsystem may
-  // post_external while holding coarser locks), below kObsIntern (the
-  // drain path may intern instruments).
-  EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kRtDispatcher), 350u);
   EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kObsIntern), 400u);
-}
-
-TEST(LockRank, RtDispatcherNestsUnderEveryCoarserRank) {
-  Mutex shard{LockRank::kFleetShard, "test.rt_rank.shard"};
-  Mutex pool{LockRank::kWorkerPool, "test.rt_rank.pool"};
-  Mutex inbox{LockRank::kRtDispatcher, "test.rt_rank.inbox"};
-  Mutex intern{LockRank::kObsIntern, "test.rt_rank.intern"};
-  MutexLock a(shard);
-  MutexLock b(pool);
-  MutexLock c(inbox);
-  MutexLock d(intern);
 }
 
 TEST(LockRank, ReleaseUnwindsTheHeldStack) {
@@ -77,7 +59,7 @@ TEST(LockRank, InversionThrowsAndEmitsTraceEvent) {
   obs::enable(16);
   sink.clear();
 
-  Mutex inner{LockRank::kWorkerPool, "test.inversion_inner"};
+  Mutex inner{LockRank::kObsIntern, "test.inversion_inner"};
   Mutex outer{LockRank::kFleetShard, "test.inversion_outer"};
   {
     MutexLock hold(inner);
@@ -97,7 +79,7 @@ TEST(LockRank, InversionThrowsAndEmitsTraceEvent) {
                "test.inversion_inner");
   EXPECT_EQ(e.value & 0xffffffffull,
             static_cast<std::uint64_t>(LockRank::kFleetShard));
-  EXPECT_EQ(e.value >> 32, static_cast<std::uint64_t>(LockRank::kWorkerPool));
+  EXPECT_EQ(e.value >> 32, static_cast<std::uint64_t>(LockRank::kObsIntern));
   obs::disable();
 
   // The checker state stays consistent after the failed acquisition:
@@ -108,8 +90,8 @@ TEST(LockRank, InversionThrowsAndEmitsTraceEvent) {
 TEST(LockRank, EqualRankIsAViolation) {
   // Strictly increasing: self-deadlock between two same-rank mutexes (or
   // a recursive acquisition) is exactly what equal rank would permit.
-  Mutex a{LockRank::kWorkerPool, "test.equal_a"};
-  Mutex b{LockRank::kWorkerPool, "test.equal_b"};
+  Mutex a{LockRank::kFleetShard, "test.equal_a"};
+  Mutex b{LockRank::kFleetShard, "test.equal_b"};
   MutexLock hold(a);
   EXPECT_THROW(MutexLock bad(b), Error);
 }
@@ -118,7 +100,7 @@ TEST(LockRank, EqualRankIsAViolation) {
 #if GTEST_HAS_DEATH_TEST
 
 [[noreturn]] void seed_inversion() {
-  Mutex inner{LockRank::kWorkerPool, "test.abort_inner"};
+  Mutex inner{LockRank::kObsIntern, "test.abort_inner"};
   Mutex outer{LockRank::kFleetShard, "test.abort_outer"};
   MutexLock hold(inner);
   MutexLock bad(outer);  // aborts under HARP_ASSERT_ABORT

@@ -15,7 +15,6 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
-#include "common/sync.hpp"
 #include "harp/engine.hpp"
 #include "harp/schedule.hpp"
 #include "net/topology_gen.hpp"
@@ -147,26 +146,6 @@ TEST(RtDispatcher, RunUntilStopsAtTheGivenTick) {
   EXPECT_EQ(d.now(), 12u);
   d.run_until(20);
   EXPECT_EQ(at, (std::vector<rt::Tick>{5, 10, 15, 20}));
-}
-
-TEST(RtDispatcher, ExternalPostsCrossThreads) {
-  rt::Dispatcher d;
-  constexpr int kPerProducer = 100;
-  int received = 0;
-  auto produce = [&d] {
-    for (int i = 0; i < kPerProducer; ++i) {
-      d.post_external([] {});
-    }
-  };
-  Thread p1(produce), p2(produce);
-  // Drain concurrently with the producers (the TSan-relevant interleaving);
-  // `received` is only touched on the dispatch thread.
-  while (received < 2 * kPerProducer) {
-    received += static_cast<int>(d.run_until_idle());
-  }
-  p1.join();
-  p2.join();
-  EXPECT_EQ(received, 2 * kPerProducer);
 }
 
 #ifndef HARP_ASSERT_ABORT
@@ -467,24 +446,6 @@ TEST(RtRuntime, AbortPendingWithoutPendingIsANoop) {
   EXPECT_FALSE(
       runtime.agent(1).abort_pending(2, Direction::kUp, runtime.endpoint(1)));
   EXPECT_EQ(d.run_until_idle(), 0u);  // nothing was sent
-}
-
-TEST(LockRank, RtDispatcherRankSitsBetweenWorkerPoolAndObsIntern) {
-  // Pin the published value: the rank table is API (docs/STATIC_ANALYSIS.md).
-  EXPECT_EQ(static_cast<std::uint32_t>(LockRank::kRtDispatcher), 350u);
-  // Posting externally is legal while holding any coarser lock...
-  Mutex shard{LockRank::kFleetShard, "test.rt.shard"};
-  Mutex pool{LockRank::kWorkerPool, "test.rt.pool"};
-  Mutex inbox{LockRank::kRtDispatcher, "test.rt.inbox"};
-  {
-    MutexLock a(shard);
-    MutexLock b(pool);
-    MutexLock c(inbox);
-  }
-  // ...and obs interning stays reachable under the inbox lock.
-  Mutex intern{LockRank::kObsIntern, "test.rt.intern"};
-  MutexLock c(inbox);
-  MutexLock i(intern);
 }
 
 }  // namespace

@@ -1,29 +1,25 @@
 // Tests for the experiment-fleet runner (src/runner): seed derivation,
-// trial-plan expansion, the worker pool's execution and exception
+// trial-plan expansion, the trial threads' execution and exception
 // contracts, per-trial observability isolation, statistical aggregation,
 // and the fleet's jobs-invariance (determinism) guarantee — the property
 // docs/RUNNER.md promises and CI's TSan job exercises.
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/sync.hpp"
 #include "obs/context.hpp"
 #include "runner/aggregate.hpp"
 #include "runner/fleet.hpp"
 #include "runner/plan.hpp"
-#include "runner/pool.hpp"
 #include "runner/scenario.hpp"
 
 namespace harp::runner {
@@ -96,107 +92,6 @@ TEST(TrialPlan, RejectsEmptyAxes) {
   EXPECT_THROW(TrialPlan::replications(1, 0), InvalidArgument);
   EXPECT_THROW(TrialPlan::grid(1, 0, 3), InvalidArgument);
   EXPECT_THROW(TrialPlan::grid(1, 3, 0), InvalidArgument);
-}
-
-// ------------------------------------------------------------ WorkerPool
-
-TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.jobs(), 4u);
-  std::vector<std::atomic<int>> hits(100);
-  pool.run(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ReusableAcrossBatches) {
-  WorkerPool pool(3);
-  std::atomic<std::uint64_t> sum{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    pool.run(10, [&](std::size_t i) { sum.fetch_add(i + 1); });
-  }
-  EXPECT_EQ(sum.load(), 5u * 55u);
-}
-
-TEST(WorkerPool, EmptyBatchIsANoop) {
-  WorkerPool pool(2);
-  std::atomic<int> calls{0};
-  pool.run(0, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(WorkerPool, RethrowsFirstExceptionAndSurvives) {
-  WorkerPool pool(4);
-  std::atomic<int> started{0};
-  EXPECT_THROW(
-      pool.run(64,
-               [&](std::size_t i) {
-                 started.fetch_add(1);
-                 if (i == 3) throw std::runtime_error("trial 3 blew up");
-               }),
-      std::runtime_error);
-  // Abandoned indices: the pool stops claiming after the failure, so not
-  // every index needs to have run — but the pool must stay usable.
-  std::atomic<int> after{0};
-  pool.run(8, [&](std::size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 8);
-}
-
-// Thousands of tiny back-to-back batches on more workers than hardware
-// threads, with spinner threads keeping every CPU busy so that woken
-// workers get preempted: most workers reach the dispatch lock only after
-// the batch they were woken for has finished. Each batch's function and
-// counters live only for that batch, so a late waker that ran a stale (or
-// null) function, or claimed the next batch's indices with it, would
-// crash or miss / double-run an index here.
-TEST(WorkerPool, BackToBackTinyBatchesWithLateWakers) {
-  constexpr int kBatches = 4000;
-  constexpr std::size_t kMaxCount = 16;
-  const std::size_t hw = WorkerPool::default_jobs();
-  const std::size_t jobs = 2 * hw + 3;
-
-  // Stopped and joined on every exit path, ASSERT failures included.
-  struct Spinners {
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> threads;
-    ~Spinners() {
-      stop.store(true);
-      for (std::thread& t : threads) t.join();
-    }
-  } spinners;
-  for (std::size_t i = 0; i < hw; ++i) {
-    spinners.threads.emplace_back([&stop = spinners.stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
-      }
-    });
-  }
-  // A little work per index and between batches, like a real caller.
-  const auto busy_work = [](int n) {
-    volatile std::uint64_t x = 0;
-    for (int k = 0; k < n; ++k) x = x + static_cast<std::uint64_t>(k);
-  };
-
-  WorkerPool pool(jobs);
-  for (int batch = 0; batch < kBatches; ++batch) {
-    const std::size_t count = 1 + static_cast<std::size_t>(batch) % kMaxCount;
-    std::array<std::atomic<int>, kMaxCount> hits{};
-    std::atomic<bool> bad_slot{false};
-    const std::function<void(std::size_t, std::size_t)> fn =
-        [&](std::size_t slot, std::size_t i) {
-          if (slot >= jobs) bad_slot.store(true);
-          hits[i].fetch_add(1);
-          busy_work(200);
-        };
-    pool.run_indexed(count, fn);
-    busy_work(1000);
-    ASSERT_FALSE(bad_slot.load()) << "batch " << batch;
-    for (std::size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "batch " << batch << " index " << i;
-    }
-  }
-}
-
-TEST(WorkerPool, DefaultJobsIsAtLeastOne) {
-  EXPECT_GE(WorkerPool::default_jobs(), 1u);
 }
 
 // ----------------------------------------------------- obs context shards
@@ -358,6 +253,56 @@ TEST(Fleet, PropagatesTrialExceptions) {
                            return obs::Json::object();
                          }),
                std::runtime_error);
+}
+
+TEST(Fleet, ClaimsEveryTrialIndexExactlyOnce) {
+  const TrialPlan plan = TrialPlan::replications(77, 100);
+  FleetOptions opts;
+  opts.jobs = 4;
+  std::vector<std::atomic<int>> hits(100);
+  const FleetResult fleet =
+      run_fleet(plan, opts, [&](const TrialSpec& spec) -> obs::Json {
+        hits[spec.index].fetch_add(1);
+        return obs::Json::object();
+      });
+  EXPECT_EQ(fleet.jobs, 4u);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Fleet, RethrowsFirstTrialExceptionAndRunsAgain) {
+  const TrialPlan plan = TrialPlan::replications(3, 64);
+  FleetOptions opts;
+  opts.jobs = 4;
+  try {
+    run_fleet(plan, opts, [](const TrialSpec& spec) -> obs::Json {
+      if (spec.index == 3) throw std::runtime_error("trial 3 blew up");
+      return obs::Json::object();
+    });
+    ADD_FAILURE() << "run_fleet did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trial 3 blew up");
+  }
+  // Claiming stops after the failure, so not every index needs to have
+  // run; every trial thread is joined, so the next fleet runs in full.
+  std::atomic<int> after{0};
+  run_fleet(TrialPlan::replications(4, 8), opts,
+            [&](const TrialSpec&) -> obs::Json {
+              after.fetch_add(1);
+              return obs::Json::object();
+            });
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(Fleet, ZeroJobsReadsHardwareThreads) {
+  const TrialPlan plan = TrialPlan::replications(31, 6);
+  FleetOptions opts;
+  opts.jobs = 0;
+  const FleetResult fleet = run_fleet(plan, opts, seed_probe_trial);
+  EXPECT_EQ(fleet.jobs, hardware_threads());
+  EXPECT_GE(fleet.jobs, 1u);
+  opts.jobs = 1;
+  EXPECT_EQ(run_fleet(plan, opts, seed_probe_trial).fingerprint,
+            fleet.fingerprint);
 }
 
 TEST(Fleet, TraceShardsAreTaggedByTrial) {
